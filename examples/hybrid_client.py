@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""Hybrid execution: the decision engine in the offloading loop.
+"""Hybrid execution: the offload decider in the offloading loop.
 
 Classical offloading frameworks (MAUI, CloneCloud) decide per-task
-whether to offload.  This example runs the same workload mix with the
-decision engine consulting each platform's advertised runtime-prep time
-and cache state — showing that a smart client can mask the VM cloud's
-cold starts only by *refusing to offload*, which forfeits the speedup,
-while Rattrap makes offloading profitable almost everywhere.
+whether to offload.  This example runs the same workload mix with an
+:class:`~repro.offload.OffloadDecider` consulting each platform's
+advertised runtime-prep time and cache state, charging every one-time
+cost to the request at hand (``amortize_requests=1``) — showing that a
+smart client can mask the VM cloud's cold starts only by *refusing to
+offload*, which forfeits the speedup, while Rattrap makes offloading
+profitable almost everywhere.
 
 Run:  python examples/hybrid_client.py
 """
 
 from repro.analysis import render_table
 from repro.network import make_link
-from repro.offload import DecisionEngine, MobileDevice
-from repro.offload.client import replay_hybrid
+from repro.offload import MobileDevice, OffloadDecider, PartitionConfig, replay
 from repro.platform import RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
 from repro.workloads import ALL_WORKLOADS, generate_inflow
@@ -30,9 +31,8 @@ def run(platform_name: str, profile, scenario: str):
         f"device-{i}": MobileDevice(f"device-{i}", make_link(scenario))
         for i in range(3)
     }
-    proc = env.process(
-        replay_hybrid(env, platform, plans, devices, DecisionEngine())
-    )
+    decider = OffloadDecider(PartitionConfig(amortize_requests=1))
+    proc = env.process(replay(env, platform, plans, devices, decider=decider))
     results = env.run(until=proc)
     offloaded = [r for r in results if not r.executed_locally]
     local = len(results) - len(offloaded)

@@ -48,7 +48,7 @@ from ..faults import (
 from ..hostos.server import CloudServer, ServerSpec
 from ..network.link import FlowLink
 from ..obs import Observability
-from ..offload import MobileDevice, RetryPolicy, replay_with_retry
+from ..offload import MobileDevice, RetryPolicy, replay
 from ..platform import (
     ComputeCacheConfig,
     PredictiveConfig,
@@ -229,9 +229,7 @@ def _abuse_cell(
         injector.launch(adversary)
 
     proc = env.process(
-        replay_with_retry(
-            env, platform, plans, devices, policy=RetryPolicy(), seed=seed
-        )
+        replay(env, platform, plans, devices, retry=RetryPolicy(), seed=seed)
     )
     results = env.run(until=proc)
 

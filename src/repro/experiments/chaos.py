@@ -28,7 +28,7 @@ from ..analysis import render_table
 from ..faults import FaultInjector, FaultPlan
 from ..network import make_link
 from ..obs import Observability
-from ..offload import MobileDevice, RetryPolicy, replay_with_retry
+from ..offload import MobileDevice, RetryPolicy, replay
 from ..platform import ClusterPlatform
 from ..sim import Environment
 from ..workloads import CHESS_GAME, generate_inflow
@@ -86,7 +86,7 @@ def _chaos_cell(scenario: str, seed: int = 1) -> Dict[str, Any]:
         f"device-{i}": MobileDevice(f"device-{i}", link) for i in range(DEVICES)
     }
     proc = env.process(
-        replay_with_retry(env, cluster, plans, devices, policy=RetryPolicy(), seed=seed)
+        replay(env, cluster, plans, devices, retry=RetryPolicy(), seed=seed)
     )
     results = env.run(until=proc)
     cloud_served = [r for r in results if not r.blocked and not r.executed_locally]

@@ -53,7 +53,7 @@ from ..offload import (
     OffloadRequest,
     PartitionConfig,
     StaticDecider,
-    replay_partitioned,
+    replay,
 )
 from ..platform import RattrapPlatform
 from ..platform.qos import QoSBudgetBook
@@ -148,7 +148,7 @@ def _cell(scenario: str, arm: str, seed: int = 1, smoke: bool = False) -> Dict[s
     wall0 = time.perf_counter()
     results = env.run(
         until=env.process(
-            replay_partitioned(env, platform, plans, devices, decider=decider)
+            replay(env, platform, plans, devices, decider=decider)
         )
     )
     wall_s = time.perf_counter() - wall0

@@ -277,7 +277,7 @@ class Link:
         return self.one_way_delay() * 2
 
     def expected_transfer_time(self, nbytes: float, direction: str) -> float:
-        """Mean transfer time ignoring jitter/loss — for decision engines."""
+        """Mean transfer time ignoring jitter/loss — for client-side estimates."""
         bw = self._bw(direction)
         return self.latency_s * self.handshake_rounds + nbytes / bw
 

@@ -1,15 +1,6 @@
 """Offloading framework: messages, requests, devices, power, decisions."""
 
-from .client import (
-    replay_closed_loop,
-    replay_hybrid,
-    replay_inflow,
-    replay_partitioned,
-    replay_with_deadline,
-    replay_with_retry,
-    run_inflow_experiment,
-)
-from .decision import DecisionEngine, OffloadEstimate
+from .client import replay, replay_inflow, run_inflow_experiment
 from .device import MobileDevice
 from .messages import KB, Message, MessageKind, result_message, upload_messages
 from .partition import (
@@ -38,14 +29,8 @@ __all__ = [
     "RadioParams",
     "RADIO_PARAMS",
     "EnergyBreakdown",
-    "DecisionEngine",
-    "OffloadEstimate",
+    "replay",
     "replay_inflow",
-    "replay_closed_loop",
-    "replay_hybrid",
-    "replay_partitioned",
-    "replay_with_deadline",
-    "replay_with_retry",
     "run_inflow_experiment",
     "RetryPolicy",
     "is_retryable",

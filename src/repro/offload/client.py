@@ -1,467 +1,240 @@
-"""Client-side experiment driver.
+"""Client-side experiment drivers.
 
 Replays an arrival plan (the "same inflow of requests" the evaluation
 uses for every compared platform) against a cloud platform, collecting
 the per-request results all experiments aggregate.
+
+:func:`replay` is the closed-loop client: each device issues one
+request at a time and runs it through one pipeline whose stages switch
+on with the policy arguments — decide, submit (racing a budget),
+back off and resubmit on retryable faults, fall back to local
+execution or shed.  :func:`replay_inflow` is the open-loop client that
+fires every request at its trace timestamp.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, Dict, Generator, List, Mapping, Optional, Sequence
 
 from ..network.link import Link
-from ..obs import metrics_of
+from ..obs import metrics_of, trace_span
+from ..sim.rng import RandomStreams
 from .device import MobileDevice
-from .request import RequestResult
+from .request import PhaseTimeline, RequestResult
+from .retry import is_retryable
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platform.base import CloudPlatform
     from ..sim.core import Environment
     from ..workloads.generator import ArrivalPlan
+    from .retry import RetryPolicy
 
 __all__ = [
+    "gather_results",
+    "group_by_device",
+    "replay",
     "replay_inflow",
-    "replay_closed_loop",
-    "replay_hybrid",
-    "replay_partitioned",
-    "replay_with_deadline",
-    "replay_with_retry",
     "run_inflow_experiment",
 ]
 
 
-def replay_with_deadline(
-    env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    devices: Dict[str, MobileDevice],
-    deadline_s: Optional[float] = None,
-) -> Generator:
-    """Closed-loop replay with a client-side response deadline.
+def group_by_device(
+    plans: Sequence["ArrivalPlan"], known: Mapping[str, object], what: str
+) -> Dict[str, list]:
+    """Plans per device id, each device's plans in their given order.
 
-    If an offloaded request has not returned within its deadline, the
-    client aborts it (the in-flight cloud work is interrupted) and
-    executes the task locally — bounding the worst case a cold start or
-    overloaded server can inflict on the user.  Aborted requests carry
-    ``deadline_aborted`` and ``executed_locally``.
-
-    Each request's deadline is its own ``deadline_budget_s`` (plumbed
-    from the app profile's QoS budget) when set, else the global
-    ``deadline_s``; a request with neither is never aborted.  Both
-    clocks anchor at the submission instant — the same instant the
-    partition layer's budget enforcement uses — so the deadline client
-    and the QoS shed path agree on when a budget starts counting.
+    Devices appear in first-seen order.  Raises :class:`ValueError`
+    (``"no <what> for: [...]"``) when a plan's device is not a key of
+    ``known`` — before anything is submitted.
     """
-    from .request import PhaseTimeline
-
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError("deadline_s must be positive")
-    per_device: Dict[str, list] = {}
+    groups: Dict[str, list] = {}
     for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
+        groups.setdefault(plan.device_id, []).append(plan)
+    missing = groups.keys() - known.keys()
     if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
+        raise ValueError(f"no {what} for: {sorted(missing)}")
+    return groups
 
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            budget = (
-                request.deadline_budget_s
-                if request.deadline_budget_s is not None
-                else deadline_s
-            )
-            submitted = env.now
-            proc = platform.submit(request, device.link)
-            proc.defused = True
-            if budget is None:
-                result = yield proc
-                if not result.blocked:
-                    device.account_offload(result)
-                collected.append(result)
-                continue
-            expiry = env.timeout(budget)
-            outcome = yield env.any_of([proc, expiry])
-            if proc in outcome or proc.ok:
-                # Completed — possibly in the same tick the deadline
-                # fired, in which case the condition only saw the
-                # expiry but the response exists all the same and must
-                # not be thrown away.
-                result = proc.value
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                if proc.is_alive:
-                    proc.interrupt("client deadline exceeded")
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=submitted,
-                    finished_at=env.now,
-                    executed_locally=True,
-                    deadline_aborted=True,
-                )
-            collected.append(result)
-        return collected
 
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
+def gather_results(env: "Environment", drivers: list) -> Generator:
+    """Process generator: wait for every driver process, each returning
+    a batch of results; all results, ordered by request id."""
     done = yield env.all_of(drivers)
     results = [r for batch in done.values() for r in batch]
     results.sort(key=lambda r: r.request.request_id)
     return results
 
 
-def replay_with_retry(
-    env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    devices: Dict[str, MobileDevice],
-    policy=None,
-    seed: int = 0,
-) -> Generator:
-    """Closed-loop replay with failure-aware retry (chaos client).
-
-    Every attempt that fails *retryably* — an injected fault
-    (:class:`~repro.faults.errors.FaultError`), directly or as the
-    cause of the interrupt that severed the request — is retried after
-    capped exponential backoff with seeded jitter.  During a link
-    blackout the client does not even reach the cloud; the attempt is
-    burned and the backoff runs.  Once the policy's attempts are
-    exhausted the task executes locally, so the user always gets an
-    answer.  Results carry honest end-to-end timing (``started_at`` is
-    the *first* submission) and the ``attempts`` count.
-
-    Non-retryable failures (OOM, model bugs) propagate unchanged.
-    """
-    from ..sim.rng import RandomStreams
-    from .request import PhaseTimeline
-    from .retry import RetryPolicy, is_retryable
-
-    if policy is None:
-        policy = RetryPolicy()
-    rng = RandomStreams(seed).get("client.retry")
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
-
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            first_submit = env.now
-            result = None
-            attempt = 0
-            for attempt in range(1, policy.max_attempts + 1):
-                if attempt > 1:
-                    metrics = metrics_of(env)
-                    if metrics is not None:
-                        metrics.counter("client.retries").inc()
-                    yield env.timeout(policy.delay_s(attempt - 1, rng))
-                faults = getattr(env, "faults", None)
-                if faults is not None and faults.link_down(device_id):
-                    continue  # unreachable cloud: burn the attempt
-                try:
-                    result = yield platform.submit(request, device.link)
-                except BaseException as exc:
-                    if is_retryable(exc):
-                        result = None
-                        continue
-                    raise
-                break
-            if result is not None:
-                # Honest end-to-end latency: failed attempts and
-                # backoff count against the request.
-                result.started_at = first_submit
-                result.attempts = attempt
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=first_submit,
-                    finished_at=env.now,
-                    executed_locally=True,
-                    attempts=policy.max_attempts,
-                )
-            collected.append(result)
-        return collected
-
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
-
-
-def replay_hybrid(
-    env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    devices: Dict[str, MobileDevice],
-    engine,
-) -> Generator:
-    """Closed-loop replay with the decision engine in the loop.
-
-    Before each request the client asks the platform for its expected
-    runtime-preparation time and cache state, predicts the offloading
-    speedup, and *executes locally* when offloading would not pay —
-    turning would-be offloading failures (§III-B) into local runs.
-    Each device transmits over its own link.
-
-    Returns all results; local executions carry ``executed_locally``.
-    """
-    from .request import PhaseTimeline
-
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
-
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            prep = platform.expected_preparation_s(request)
-            cached = platform.code_cached(request)
-            if engine.should_offload(
-                request.profile, device.link,
-                expected_preparation_s=prep, code_cached=cached,
-            ):
-                result = yield platform.submit(request, device.link)
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                started = env.now
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    executed_locally=True,
-                )
-            collected.append(result)
-        return collected
-
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
-
-
-def replay_partitioned(
+def replay(
     env: "Environment",
     platforms,
     plans: Sequence["ArrivalPlan"],
     devices: Dict[str, MobileDevice],
+    *,
     decider=None,
-) -> Generator:
-    """Closed-loop replay with the partition layer in the loop.
-
-    Before each request the decider scores local execution against
-    every candidate platform (see :mod:`repro.offload.partition`) and
-    the client follows the verdict:
-
-    - **offload** — submit to the chosen platform; when the decider's
-      config enforces budgets, an offload still in flight at the
-      request's budget is aborted and re-run locally (clock anchored
-      at the submission instant, matching :func:`replay_with_deadline`);
-    - **local** — run on the handset (``local_exec`` span);
-    - **shed** — drop the request (``shed`` result, nothing runs).
-
-    ``decider=None`` detaches the layer entirely: every request
-    offloads to the first platform with no decide span and no cost-
-    model evaluation — byte-identical to a plain closed-loop replay,
-    the ``is None`` gating every optional plane here uses.
-
-    Each decision is wrapped in a ``decide`` phase span of the
-    configured ``decide_s``, so partitioned responses still tile
-    exactly: decide + serve phases when offloaded, decide +
-    ``local_exec`` when local, decide alone when shed.
-    """
-    from ..obs import trace_span
-    from .request import PhaseTimeline
-
-    targets = list(platforms) if isinstance(platforms, (list, tuple)) else [platforms]
-    if not targets:
-        raise ValueError("need at least one platform")
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
-
-    def offload(device, request, target, budget) -> Generator:
-        """One offload attempt, optionally budget-enforced."""
-        submitted = env.now
-        proc = target.submit(request, device.link)
-        if budget is None:
-            result = yield proc
-            if not result.blocked:
-                device.account_offload(result)
-            return result
-        proc.defused = True
-        expiry = env.timeout(budget)
-        outcome = yield env.any_of([proc, expiry])
-        if proc in outcome or proc.ok:
-            # Same-tick completion is a completion (see
-            # replay_with_deadline).
-            result = proc.value
-            if not result.blocked:
-                device.account_offload(result)
-            return result
-        if proc.is_alive:
-            proc.interrupt("QoS budget exceeded")
-        yield from device.execute_locally(
-            env, request.profile, trace_id=request.trace_id
-        )
-        return RequestResult(
-            request=request,
-            timeline=PhaseTimeline(),
-            started_at=submitted,
-            finished_at=env.now,
-            executed_locally=True,
-            deadline_aborted=True,
-        )
-
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        metrics = metrics_of(env)
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            if decider is None:
-                result = yield targets[0].submit(request, device.link)
-                if not result.blocked:
-                    device.account_offload(result)
-                collected.append(result)
-                continue
-            started = env.now
-            with trace_span(env, "decide", who=device_id, trace=request.trace_id):
-                decision = decider.decide(request, device, targets)
-                if decider.cfg.decide_s:
-                    yield env.timeout(decider.cfg.decide_s)
-            if metrics is not None:
-                metrics.counter(f"client.decisions.{decision.choice}").inc()
-            if decision.choice == "offload":
-                budget = None
-                if decider.cfg.enforce_budget and decision.budget_s != float("inf"):
-                    budget = decision.budget_s
-                result = yield from offload(
-                    device, request, targets[decision.target], budget
-                )
-                result.started_at = started  # the decision is part of it
-            elif decision.choice == "local":
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    executed_locally=True,
-                )
-            else:  # shed
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    shed=True,
-                )
-            decider.observe(result)
-            collected.append(result)
-        return collected
-
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
-
-
-def replay_closed_loop(
-    env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    link: Link,
-    devices: Optional[Dict[str, MobileDevice]] = None,
+    deadline_s: Optional[float] = None,
+    retry: Optional["RetryPolicy"] = None,
+    seed: int = 0,
 ) -> Generator:
     """Process generator: closed-loop replay, the main-experiment mode.
 
     Interactive offloading apps issue one request at a time: each
     device submits its next request one think-gap after the previous
-    *response* (so a slow cold start delays, rather than piles up,
-    that device's stream).  This matches §VI-C's "5 Android devices
-    running offloading workloads".
-    """
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
+    *response*, over its own link (so a slow cold start delays, rather
+    than piles up, that device's stream — §VI-C's "5 Android devices
+    running offloading workloads").  Every request runs one pipeline:
 
-    def drive(device_plans) -> Generator:
+    1. **decide** (only with a ``decider``) — a ``decide`` span of the
+       decider's ``decide_s``; the verdict picks a target among
+       ``platforms`` (one platform or a list), local execution, or
+       shedding.  ``decider=None`` offloads everything to the first
+       platform with no span and no cost-model evaluation.
+    2. **submit**, racing a budget when one applies: the request's own
+       ``deadline_budget_s``, else ``deadline_s``, else a finite decider
+       budget under ``enforce_budget``.  The budget clock starts at the
+       first submission and covers every retry and backoff; an offload
+       still in flight when it expires is aborted (``deadline_aborted``).
+       A response landing in the very tick the budget expires is kept.
+    3. **retry** (only with ``retry``) — an attempt that fails
+       retryably (:func:`~repro.offload.retry.is_retryable`) is
+       resubmitted after capped exponential backoff with jitter seeded
+       by ``seed``; an attempt while the device's link is blacked out
+       is burned without reaching the cloud.  Other failures propagate.
+    4. **local fallback or shed** — a local verdict, an aborted offload
+       or exhausted retries run the task on the handset (scaled by the
+       request's ``work_scale``); a shed verdict runs nothing.
+
+    ``started_at`` is the pipeline start, so decision, failed attempts,
+    backoff and fallback all count against the response; ``attempts``
+    counts offload attempts, burned ones included (1 when a verdict
+    kept the request local or shed it).  Returns every result, ordered
+    by request id.
+    """
+    targets = list(platforms) if isinstance(platforms, (list, tuple)) else [platforms]
+    if not targets:
+        raise ValueError("need at least one platform")
+    if deadline_s is not None and deadline_s <= 0:
+        raise ValueError("deadline_s must be positive")
+    groups = group_by_device(plans, devices, "device object")
+    for seq in groups.values():
+        seq.sort(key=lambda p: p.request.seq_on_device)
+    if decider is not None:
+        for target in targets:
+            for name in decider.CLIENT_API:
+                if not hasattr(target, name):
+                    raise ValueError(
+                        f"{type(target).__name__} has no {name!r}, which "
+                        f"{type(decider).__name__} reads to score offloads"
+                    )
+    rng = RandomStreams(seed).get("client.retry") if retry is not None else None
+
+    def offload(device_id, device, request, target, budget) -> Generator:
+        """Submit until success; ``(result or None, attempts, aborted)``."""
+        expiry = env.timeout(budget) if budget is not None else None
+        attempts = 1 if retry is None else retry.max_attempts
+        for attempt in range(1, attempts + 1):
+            faults = getattr(env, "faults", None) if retry is not None else None
+            if faults is None or not faults.link_down(device_id):
+                proc = target.submit(request, device.link)
+                try:
+                    if expiry is None:
+                        result = yield proc
+                    else:
+                        proc.defused = True
+                        outcome = yield env.any_of([proc, expiry])
+                        if not (proc in outcome or proc.ok):
+                            if proc.is_alive:
+                                proc.interrupt("client deadline exceeded")
+                            return None, attempt, True
+                        # Completed — possibly in the tick the budget
+                        # expired; the response exists all the same.
+                        result = proc.value
+                except Exception as exc:
+                    if retry is None or not is_retryable(exc):
+                        raise
+                else:
+                    if not result.blocked:
+                        device.account_offload(result)
+                    return result, attempt, False
+            if attempt == attempts:
+                break
+            metrics = metrics_of(env)
+            if metrics is not None:
+                metrics.counter("client.retries").inc()
+            backoff = env.timeout(retry.delay_s(attempt, rng))
+            yield backoff if expiry is None else env.any_of([backoff, expiry])
+            if expiry is not None and expiry.processed:
+                return None, attempt, True
+        return None, attempts, False
+
+    def serve(device_id, device, request) -> Generator:
+        """One request through decide → submit → retry → fallback."""
+        started = env.now
+        choice, target = "offload", targets[0]
+        budget = request.deadline_budget_s
+        if budget is None:
+            budget = deadline_s
+        if decider is not None:
+            with trace_span(env, "decide", who=device_id, trace=request.trace_id):
+                decision = decider.decide(request, device, targets)
+                if decider.cfg.decide_s:
+                    yield env.timeout(decider.cfg.decide_s)
+            metrics = metrics_of(env)
+            if metrics is not None:
+                metrics.counter(f"client.decisions.{decision.choice}").inc()
+            choice = decision.choice
+            if choice == "offload":
+                target = targets[decision.target]
+            enforced = decider.cfg.enforce_budget and decision.budget_s != math.inf
+            if budget is None and enforced:
+                budget = decision.budget_s
+        result, attempts, aborted = None, 1, False
+        if choice == "offload":
+            result, attempts, aborted = yield from offload(
+                device_id, device, request, target, budget
+            )
+        if result is not None:
+            result.started_at = started
+            result.attempts = attempts
+        elif choice == "shed":
+            result = RequestResult(
+                request=request,
+                timeline=PhaseTimeline(),
+                started_at=started,
+                finished_at=env.now,
+                shed=True,
+            )
+        else:
+            yield from device.execute_locally(
+                env, request.profile, trace_id=request.trace_id,
+                work_scale=request.work_scale,
+            )
+            result = RequestResult(
+                request=request,
+                timeline=PhaseTimeline(),
+                started_at=started,
+                finished_at=env.now,
+                executed_locally=True,
+                deadline_aborted=aborted,
+                attempts=attempts,
+            )
+        if decider is not None:
+            decider.observe(result)
+        return result
+
+    def drive(device_id: str, device_plans) -> Generator:
+        device = devices[device_id]
         collected = []
         for plan in device_plans:
             if plan.gap_s > 0:
                 yield env.timeout(plan.gap_s)
-            result = yield platform.submit(plan.request, link)
-            if devices is not None and not result.blocked:
-                devices[plan.device_id].account_offload(result)
-            collected.append(result)
+            collected.append((yield from serve(device_id, device, plan.request)))
         return collected
 
-    drivers = [env.process(drive(seq)) for seq in per_device.values()]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return (yield from gather_results(
+        env, [env.process(drive(d, seq)) for d, seq in groups.items()]
+    ))
 
 
 def replay_inflow(
@@ -477,23 +250,17 @@ def replay_inflow(
     request id.  When ``devices`` is given, each device's battery is
     charged for its offloaded requests (Fig. 10's methodology).
     """
-    submissions = []
 
-    def fire(plan: ArrivalPlan) -> Generator:
+    def fire(plan: "ArrivalPlan") -> Generator:
         delay = plan.time_s - env.now
         if delay > 0:
             yield env.timeout(delay)
         result = yield platform.submit(plan.request, link)
         if devices is not None and not result.blocked:
             devices[plan.device_id].account_offload(result)
-        return result
+        return (result,)
 
-    for plan in plans:
-        submissions.append(env.process(fire(plan)))
-    done = yield env.all_of(submissions)
-    results = [r for r in done.values() if isinstance(r, RequestResult)]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return (yield from gather_results(env, [env.process(fire(plan)) for plan in plans]))
 
 
 def run_inflow_experiment(
@@ -507,10 +274,17 @@ def run_inflow_experiment(
     """Convenience wrapper: replay ``plans`` and run the clock until done.
 
     ``mode="closed"`` (default) drives each device one-request-at-a-
-    time; ``mode="open"`` fires at absolute timestamps (trace replay).
+    time through :func:`replay`; ``mode="open"`` fires at absolute
+    timestamps (trace replay).  Without ``devices`` every device is a
+    fresh handset on ``link``.
     """
     if mode == "closed":
-        gen = replay_closed_loop(env, platform, plans, link, devices)
+        if devices is None:
+            devices = {
+                device_id: MobileDevice(device_id, link)
+                for device_id in dict.fromkeys(p.device_id for p in plans)
+            }
+        gen = replay(env, platform, plans, devices)
     elif mode == "open":
         gen = replay_inflow(env, platform, plans, link, devices)
     else:

@@ -53,17 +53,25 @@ class MobileDevice:
 
     # -- local execution ---------------------------------------------------------
     def execute_locally(
-        self, env: "Environment", profile: "WorkloadProfile", trace_id: str = ""
+        self,
+        env: "Environment",
+        profile: "WorkloadProfile",
+        trace_id: str = "",
+        work_scale: float = 1.0,
     ) -> Generator:
         """Process generator: run the workload on the handset itself.
 
-        Emits a ``local_exec`` phase span so an on-device run is as
-        traceable as an offloaded one — a partitioned request's
-        response tiles as decide + local_exec.
+        ``work_scale`` is the request's task-size multiplier: it scales
+        both the CPU time and the CPU energy.  Emits a ``local_exec``
+        phase span so an on-device run is as traceable as an offloaded
+        one — a partitioned request's response tiles as decide +
+        local_exec.
         """
         with trace_span(env, "local_exec", who=self.device_id, trace=trace_id):
-            yield env.timeout(profile.local_time_s)
-        energy = self.power.local_energy(profile)
+            yield env.timeout(profile.local_time_s * work_scale)
+        energy = EnergyBreakdown(
+            cpu_j=self.power.local_energy(profile).cpu_j * work_scale
+        )
         self.energy_used_j += energy.total_j
         self.local_executions += 1
         return energy

@@ -80,9 +80,9 @@ class PartitionConfig:
     #: when even the local estimate busts the budget
     shed_over_budget: bool = False
     #: enforce finite budgets at runtime too: offloads still in flight
-    #: at their budget are aborted and re-run locally (same clock as
-    #: :func:`~repro.offload.client.replay_with_deadline` — anchored at
-    #: the submission instant, after the decide span closes)
+    #: at their budget are aborted and re-run locally (the same clock
+    #: as a request's own budget in :func:`~repro.offload.client.replay`
+    #: — anchored at the first submission, after the decide span closes)
     enforce_budget: bool = False
 
     def __post_init__(self):
@@ -145,6 +145,16 @@ class OffloadDecider:
     fixed state always yields the same :class:`Decision` and the
     decision layer composes with the deterministic replay machinery.
     """
+
+    #: the platform client-estimate API the cost model reads; a replay
+    #: refuses targets that lack any of it before submitting anything
+    CLIENT_API = (
+        "expected_preparation_s",
+        "dispatcher",
+        "code_cached",
+        "expected_queueing_s",
+        "expected_cache_hit_p",
+    )
 
     def __init__(
         self,
@@ -307,6 +317,9 @@ class StaticDecider:
     and always-local, through the exact same replay path as the
     adaptive decider so the comparison isolates the decision policy.
     """
+
+    #: reads no platform state, so any target will do
+    CLIENT_API = ()
 
     def __init__(self, choice: str, config: Optional[PartitionConfig] = None):
         if choice not in ("offload", "local"):

@@ -139,7 +139,8 @@ class RequestResult:
     bytes_up: int = 0
     bytes_down: int = 0
     blocked: bool = False  # rejected by the access controller
-    #: the decision engine kept this task on the device (hybrid client)
+    #: the task ran on the handset: a local verdict of the client's
+    #: decider, or the fallback after an aborted or failed offload
     executed_locally: bool = False
     #: the client aborted the offload at its deadline and fell back
     deadline_aborted: bool = False
@@ -169,7 +170,7 @@ class RequestResult:
         """True when offloading did not beat local execution (§III-B).
 
         Only meaningful for requests that actually offloaded; local
-        executions are the decision engine *avoiding* a failure.
+        executions are the client's decider *avoiding* a failure.
         """
         return not self.executed_locally and self.speedup <= 1.0
 

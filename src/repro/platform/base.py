@@ -454,7 +454,7 @@ class CloudPlatform:
     # ------------------------------------------------------- client estimates
     def expected_preparation_s(self, request: OffloadRequest) -> float:
         """Runtime-preparation estimate the platform advertises to
-        clients (drives the decision engine's break-even analysis)."""
+        clients (drives the offload decider's cost model)."""
         key = self.dispatcher.allocation_key(request)
         record = self.dispatcher._record_for_key(key)
         if record is not None and record.runtime.is_ready:
@@ -477,7 +477,7 @@ class CloudPlatform:
         When the in-flight request count (scheduler gauge) pushes past
         the server's core count, the GPS CPU model stretches everyone's
         compute proportionally; this deterministic estimate advertises
-        that stretch to decision engines.  Reads live scheduler state
+        that stretch to offload deciders.  Reads live scheduler state
         only — no RNG, no mutation.
         """
         active = self.scheduler.active_requests
@@ -496,7 +496,7 @@ class CloudPlatform:
 
         1.0 when the exact key is resident right now; otherwise the
         app's repeat-probability EWMA; 0.0 without a cache or for
-        unique payloads.  Decision engines discount the expected
+        unique payloads.  Offload deciders discount the expected
         execute time by this factor.
         """
         cache = self.compute_cache

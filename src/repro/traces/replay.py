@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..offload.client import replay_inflow
+from ..offload.client import gather_results, group_by_device, replay_inflow
 from ..offload.request import OffloadRequest, RequestResult
 from ..workloads.base import WorkloadProfile
 from ..workloads.generator import ArrivalPlan
@@ -96,28 +96,16 @@ def replay_trace(
     """
     if not plans:
         raise ValueError("empty plan list")
-    missing = {p.device_id for p in plans} - set(links)
-    if missing:
-        raise ValueError(f"no link for user(s): {sorted(missing)}")
+    per_user = group_by_device(plans, links, "link for user(s)")
     platform.start_idle_reaper(idle_timeout_s=idle_timeout_s)
 
-    # Group plans by user so each user's stream rides its own link.
-    procs = []
-    for user in sorted({p.device_id for p in plans}):
-        user_plans = [p for p in plans if p.device_id == user]
-        procs.append(
-            env.process(
-                replay_inflow(env, platform, user_plans, links[user],
-                              devices=devices)
-            )
+    # Each user's stream rides its own link.
+    procs = [
+        env.process(
+            replay_inflow(env, platform, per_user[user], links[user],
+                          devices=devices)
         )
+        for user in sorted(per_user)
+    ]
 
-    def collect(env):
-        done = yield env.all_of(procs)
-        results: List[RequestResult] = []
-        for batch in done.values():
-            results.extend(batch)
-        results.sort(key=lambda r: r.request.request_id)
-        return results
-
-    return env.run(until=env.process(collect(env)))
+    return env.run(until=env.process(gather_results(env, procs)))

@@ -5,11 +5,12 @@ import pytest
 
 from repro.network import make_link
 from repro.offload import (
-    DecisionEngine,
     MobileDevice,
+    OffloadDecider,
+    PartitionConfig,
+    replay,
     run_inflow_experiment,
 )
-from repro.offload.client import replay_hybrid
 from repro.platform import ClusterPlatform, RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
 from repro.workloads import CHESS_GAME, LINPACK, VIRUS_SCAN, generate_inflow
@@ -86,8 +87,8 @@ def _hybrid(profile, scenario, platform_name="rattrap", devices_n=3, per_device=
         f"device-{i}": MobileDevice(f"device-{i}", make_link(scenario))
         for i in range(devices_n)
     }
-    engine = DecisionEngine()
-    proc = env.process(replay_hybrid(env, platform, plans, devices, engine))
+    decider = OffloadDecider(PartitionConfig(amortize_requests=1))
+    proc = env.process(replay(env, platform, plans, devices, decider=decider))
     results = env.run(until=proc)
     return platform, devices, results
 
@@ -123,7 +124,7 @@ def test_hybrid_missing_device_rejected():
     plans = generate_inflow(LINPACK, devices=2, requests_per_device=1, seed=0)
     with pytest.raises(ValueError, match="no device"):
         env.run(until=env.process(
-            replay_hybrid(env, platform, plans, {}, DecisionEngine())))
+            replay(env, platform, plans, {}, decider=OffloadDecider())))
 
 
 def test_platform_estimates_cold_then_warm():
@@ -151,13 +152,11 @@ def test_vm_platform_estimates():
 
 # ------------------------------------------------------------------ deadline
 def test_deadline_aborts_vm_cold_start():
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = VMCloudPlatform(env)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=3, seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_deadline(env, platform, plans, devices, 5.0))
+    proc = env.process(replay(env, platform, plans, devices, deadline_s=5.0))
     results = env.run(until=proc)
     # The first request hits the 28.72 s boot and is aborted at 5 s.
     assert results[0].deadline_aborted
@@ -171,8 +170,6 @@ def test_deadline_aborts_vm_cold_start():
 
 
 def test_deadline_not_triggered_on_fast_platform():
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = RattrapPlatform(env)
     plans = generate_inflow(CHESS_GAME, devices=2, requests_per_device=2, seed=0)
@@ -180,25 +177,23 @@ def test_deadline_not_triggered_on_fast_platform():
         f"device-{i}": MobileDevice(f"device-{i}", make_link("lan-wifi"))
         for i in range(2)
     }
-    proc = env.process(replay_with_deadline(env, platform, plans, devices, 10.0))
+    proc = env.process(replay(env, platform, plans, devices, deadline_s=10.0))
     results = env.run(until=proc)
     assert not any(r.deadline_aborted for r in results)
     assert platform.scheduler.active_requests == 0
 
 
 def test_deadline_validation():
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = RattrapPlatform(env)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)
     with pytest.raises(ValueError):
         env.run(until=env.process(
-            replay_with_deadline(env, platform, plans, {}, 5.0)))
+            replay(env, platform, plans, {}, deadline_s=5.0)))
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
     with pytest.raises(ValueError):
         env.run(until=env.process(
-            replay_with_deadline(env, platform, plans, devices, 0.0)))
+            replay(env, platform, plans, devices, deadline_s=0.0)))
 
 
 class _PacedPlatform:
@@ -235,13 +230,11 @@ def test_deadline_same_tick_completion_is_kept():
     # The response lands in the exact tick the deadline fires, with the
     # expiry timer processing first: the condition wakes on the expiry,
     # but the completed response must not be thrown away.
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = _PacedPlatform(env, service_s=5.0)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_deadline(env, platform, plans, devices, 5.0))
+    proc = env.process(replay(env, platform, plans, devices, deadline_s=5.0))
     [result] = env.run(until=proc)
     assert not result.deadline_aborted
     assert not result.executed_locally
@@ -253,14 +246,12 @@ def test_deadline_same_tick_completion_is_kept():
 def test_deadline_abort_reports_honest_start_time():
     # Aborted requests must carry started_at = submission time, so the
     # deadline + local-execution penalty shows up in response_time.
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = _PacedPlatform(env, service_s=50.0)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=2,
                             think_time_s=2.0, seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_deadline(env, platform, plans, devices, 5.0))
+    proc = env.process(replay(env, platform, plans, devices, deadline_s=5.0))
     results = env.run(until=proc)
     assert all(r.deadline_aborted and r.executed_locally for r in results)
     for r in results:

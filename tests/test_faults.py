@@ -12,7 +12,7 @@ from repro.faults import (
     RuntimeCrashed,
 )
 from repro.network import make_link
-from repro.offload import MobileDevice, OffloadRequest, replay_with_retry
+from repro.offload import MobileDevice, OffloadRequest, RetryPolicy, replay
 from repro.platform import RattrapPlatform
 from repro.runtime.base import RuntimeState
 from repro.sim import Environment, Interrupt
@@ -218,7 +218,9 @@ def test_injected_crashes_always_release_slots_and_memory():
         f"device-{i}": MobileDevice(f"device-{i}", make_link("lan-wifi"))
         for i in range(4)
     }
-    proc = env.process(replay_with_retry(env, platform, plans, devices, seed=3))
+    proc = env.process(
+        replay(env, platform, plans, devices, retry=RetryPolicy(), seed=3)
+    )
     results = env.run(until=proc)
     assert len(results) == 16
     assert injector.injected, "the campaign found no victim to crash"
@@ -252,7 +254,9 @@ def test_injected_crash_campaign_is_deterministic():
             f"device-{i}": MobileDevice(f"device-{i}", make_link("lan-wifi"))
             for i in range(3)
         }
-        proc = env.process(replay_with_retry(env, platform, plans, devices, seed=5))
+        proc = env.process(
+            replay(env, platform, plans, devices, retry=RetryPolicy(), seed=5)
+        )
         results = env.run(until=proc)
         return (
             injector.injected,

@@ -5,11 +5,12 @@ import pytest
 from repro.network import make_link
 from repro.offload import (
     KB,
-    DecisionEngine,
     MobileDevice,
     Message,
     MessageKind,
+    OffloadDecider,
     OffloadRequest,
+    PartitionConfig,
     Phase,
     PhaseTimeline,
     PowerModel,
@@ -17,6 +18,7 @@ from repro.offload import (
     result_message,
     upload_messages,
 )
+from repro.platform import RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
 from repro.workloads import CHESS_GAME, LINPACK, OCR, VIRUS_SCAN
 
@@ -179,38 +181,64 @@ def test_device_validation():
 
 
 # --------------------------------------------------------------- decisions
+#: the hybrid client's model: every one-time cost charged to this request
+HYBRID = PartitionConfig(amortize_requests=1)
+
+
+def _warm(platform, device, profile):
+    """Serve one request so the device's runtime is warm and the code
+    is stored."""
+    env = platform.env
+    env.run(until=platform.submit(_request(profile, device), device.link))
+
+
+def _request(profile, device):
+    return OffloadRequest(0, device.device_id, profile.name, profile)
+
+
 def test_decision_engine_estimate_components():
-    eng = DecisionEngine()
-    link = make_link("lan-wifi")
-    est = eng.estimate(LINPACK, link, expected_preparation_s=0.0, code_cached=True)
-    assert est.execution_s == pytest.approx(LINPACK.cloud_cpu_s)
-    assert est.predicted_speedup > 1.0
-    assert est.response_s == pytest.approx(
-        est.connection_s + est.preparation_s + est.transfer_s + est.execution_s
+    # A warm runtime with the code in place: the estimate is the
+    # recurring cost only, and compute-bound Linpack pays on WiFi.
+    platform = RattrapPlatform(Environment())
+    device = MobileDevice("d0", make_link("lan-wifi"))
+    _warm(platform, device, LINPACK)
+    decider = OffloadDecider(HYBRID)
+    request = _request(LINPACK, device)
+    local = decider.estimate_local(request, device)
+    est = decider.estimate_offload(request, device, platform)
+    assert local.latency_s == pytest.approx(LINPACK.local_time_s)
+    assert local.energy_j == pytest.approx(
+        LINPACK.local_time_s * device.power.cpu_active_watts
     )
+    # the cloud compute is part of the estimate, and not the only part
+    assert est.latency_s > LINPACK.cloud_cpu_s + LINPACK.framework_overhead_s
+    assert local.latency_s / est.latency_s > 1.0
 
 
 def test_decision_cold_start_can_flip_decision():
-    eng = DecisionEngine()
-    link = make_link("lan-wifi")
-    # Chess local = 4 s; a 28.72 s VM boot makes offloading a loser.
-    assert eng.should_offload(CHESS_GAME, link, expected_preparation_s=0.0)
-    assert not eng.should_offload(CHESS_GAME, link, expected_preparation_s=28.72)
-    # Rattrap's 1.75 s boot keeps it profitable.
-    assert eng.should_offload(CHESS_GAME, link, expected_preparation_s=1.75,
-                              code_cached=False)
+    # Chess local = 4 s; a cold VM's 28.72 s boot makes offloading a loser.
+    device = MobileDevice("d0", make_link("lan-wifi"))
+    decider = OffloadDecider(HYBRID)
+    vm = VMCloudPlatform(Environment())
+    assert decider.decide(_request(CHESS_GAME, device), device, vm).choice == "local"
+    # Rattrap's 1.75 s boot keeps it profitable, even with the code
+    # still to upload and load.
+    rattrap = RattrapPlatform(Environment())
+    assert not rattrap.code_cached(_request(CHESS_GAME, device))
+    decision = decider.decide(_request(CHESS_GAME, device), device, rattrap)
+    assert decision.choice == "offload"
+    # Once the VM is warm the same request offloads there too.
+    _warm(vm, device, CHESS_GAME)
+    assert decider.decide(_request(CHESS_GAME, device), device, vm).choice == "offload"
 
 
 def test_decision_3g_discourages_file_heavy_offload():
-    eng = DecisionEngine()
     # VirusScan ships ~900 KB per request; on 3G's 0.38 Mbps uplink the
-    # transfer alone exceeds the 13.2 s local time.
-    assert not eng.should_offload(VIRUS_SCAN, make_link("3g"))
-    assert eng.should_offload(VIRUS_SCAN, make_link("lan-wifi"))
-
-
-def test_decision_validation():
-    with pytest.raises(ValueError):
-        DecisionEngine(speedup_threshold=0)
-    with pytest.raises(ValueError):
-        DecisionEngine().estimate(OCR, make_link("4g"), -1.0, True)
+    # transfer alone exceeds the 13.2 s local time, even to a warm runtime.
+    decider = OffloadDecider(HYBRID)
+    for scenario, choice in (("3g", "local"), ("lan-wifi", "offload")):
+        platform = RattrapPlatform(Environment())
+        device = MobileDevice("d0", make_link(scenario))
+        _warm(platform, device, VIRUS_SCAN)
+        decision = decider.decide(_request(VIRUS_SCAN, device), device, platform)
+        assert decision.choice == choice, scenario

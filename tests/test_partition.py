@@ -21,7 +21,7 @@ from repro.offload import (
     OffloadRequest,
     PartitionConfig,
     StaticDecider,
-    replay_partitioned,
+    replay,
 )
 from repro.platform import RattrapPlatform
 from repro.platform.qos import QoSBudgetBook
@@ -267,7 +267,7 @@ def _replay(scenario, decider, requests=3, devices=1, obs=False,
         for d in range(devices)
     }
     results = env.run(until=env.process(
-        replay_partitioned(env, platform, plans, fleet, decider=decider)
+        replay(env, platform, plans, fleet, decider=decider)
     ))
     if obs:
         return results, observer, fleet
@@ -420,17 +420,15 @@ def test_budget_abort_falls_back_to_local():
 
 
 def test_deadline_client_reads_profile_budget():
-    # replay_with_deadline with no explicit deadline honours the app
+    # replay with no explicit deadline honours the app
     # profile's deadline_budget_s — the same clock as the QoS gate:
     # both anchor at the submission instant.
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = _PacedPlatform(env, service_s=50.0)
     plans = generate_inflow(_BUDGETED_CHESS, devices=1, requests_per_device=1,
                             seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_deadline(env, platform, plans, devices))
+    proc = env.process(replay(env, platform, plans, devices))
     [result] = env.run(until=proc)
     assert result.deadline_aborted and result.executed_locally
     assert result.response_time == pytest.approx(5.0 + CHESS_GAME.local_time_s)
@@ -445,13 +443,11 @@ def test_deadline_client_reads_profile_budget():
 
 
 def test_unbudgeted_deadline_replay_never_aborts():
-    from repro.offload.client import replay_with_deadline
-
     env = Environment()
     platform = _PacedPlatform(env, service_s=50.0)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_deadline(env, platform, plans, devices))
+    proc = env.process(replay(env, platform, plans, devices))
     [result] = env.run(until=proc)
     assert not result.deadline_aborted
     assert result.executed_on == "stub-0"
@@ -471,10 +467,10 @@ def test_replay_partitioned_validates_inputs():
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)
     with pytest.raises(ValueError):
         env.run(until=env.process(
-            replay_partitioned(env, [], plans, {})))
+            replay(env, [], plans, {})))
     with pytest.raises(ValueError):
         env.run(until=env.process(
-            replay_partitioned(env, platform, plans, {})))
+            replay(env, platform, plans, {})))
 
 
 def test_decision_metrics_counters():
@@ -485,7 +481,7 @@ def test_decision_metrics_counters():
     platform = RattrapPlatform(env, optimized=True)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=3, seed=3)
     fleet = {"device-0": MobileDevice("device-0", make_link("3g"))}
-    env.run(until=env.process(replay_partitioned(
+    env.run(until=env.process(replay(
         env, platform, plans, fleet, decider=OffloadDecider())))
     snapshot = observer.metrics.snapshot()
     assert snapshot["counters"]["client.decisions.local"] == 3

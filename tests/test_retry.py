@@ -18,7 +18,7 @@ from repro.offload import (
     MobileDevice,
     RetryPolicy,
     is_retryable,
-    replay_with_retry,
+    replay,
 )
 from repro.offload.request import OffloadRequest
 from repro.platform import RattrapPlatform
@@ -99,7 +99,9 @@ def test_retry_client_recovers_from_runtime_crash():
         platform.crash_runtime(record.cid)
 
     env.process(killer(env))
-    proc = env.process(replay_with_retry(env, platform, plans, devices, seed=0))
+    proc = env.process(
+        replay(env, platform, plans, devices, retry=RetryPolicy(), seed=0)
+    )
     results = env.run(until=proc)
     assert len(results) == 3
     # Nothing fell back to the handset: the re-boot served the retry.
@@ -120,7 +122,7 @@ def test_retry_exhaustion_falls_back_to_local():
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
     policy = RetryPolicy(max_attempts=3, jitter=0.0)
     proc = env.process(
-        replay_with_retry(env, platform, plans, devices, policy=policy, seed=0)
+        replay(env, platform, plans, devices, retry=policy, seed=0)
     )
     [result] = env.run(until=proc)
     # The user still got an answer — locally, after burning every attempt.
@@ -143,7 +145,7 @@ def test_retry_client_skips_cloud_during_blackout():
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
     policy = RetryPolicy(max_attempts=2, jitter=0.0)
     proc = env.process(
-        replay_with_retry(env, platform, plans, devices, policy=policy, seed=0)
+        replay(env, platform, plans, devices, retry=policy, seed=0)
     )
     [result] = env.run(until=proc)
     assert result.executed_locally
@@ -174,7 +176,9 @@ def test_retry_does_not_mask_real_bugs():
     platform = _BuggyPlatform(env)
     plans = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)
     devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
-    proc = env.process(replay_with_retry(env, platform, plans, devices, seed=0))
+    proc = env.process(
+        replay(env, platform, plans, devices, retry=RetryPolicy(), seed=0)
+    )
     proc.defused = True
     env.run()
     assert isinstance(proc.exception, ValueError)
