@@ -8,18 +8,13 @@ Usage::
     python benchmarks/compare.py --threshold 0.25   # regression bar
 
 Compares per-experiment wall-clock from ``BENCH_experiments.json``
-(schema v1-v6, written by ``make bench``) against a fresh
-measurement and exits non-zero when any experiment regressed by more
-than the threshold.  Schema v2 additionally carries a per-experiment
-cell-wall p99 (``p99_wall_s``); the comparison table shows it as a
-tail-latency column, with a dash for v1 baselines that predate it.
-Schema v3 adds ``devices``/``devices_per_s`` for the scale family
-(smoke-measured here so the sharded kernel's throughput trends across
-PRs too); v4 adds ``cache_hit_rate`` for cache-bearing experiments,
-shown as hit-% columns; v5 adds ``local_fraction`` for the partition
-family, shown as local-% columns; v6 adds the sharded sync-engine
-counters ``epochs_run``/``epochs_skipped``, shown as ``run/skip``
-epoch columns.  Two defenses against flakiness: experiments faster than
+(written by ``make bench``) against a fresh measurement and exits
+non-zero when any experiment regressed by more than the threshold.
+The table adds each side's cell-wall p99 and the signals whose value
+changed: signals are deterministic, so a change means the model's
+output moved, not just its speed.  The verdict says when the sides'
+``cpu_count``/``jobs`` make the wall comparison no parallel-speedup
+measurement.  Two defenses against flakiness: experiments faster than
 the noise floor on either side are skipped (interpreter jitter swamps
 a 200 ms measurement), and the fresh suite is measured best-of-N
 (``--repeats``, min wall per experiment) so a background process
@@ -36,7 +31,13 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.experiments.engine import (
+    BENCH_SCHEMA_VERSION,
+    benchmark_payload,
+    collect_timings,
+)
 
 #: committed baseline, relative to the repository root
 DEFAULT_BASELINE = "BENCH_experiments.json"
@@ -49,13 +50,6 @@ NOISE_FLOOR_S = 0.25
 #: measure the fresh suite this many times and keep the per-experiment min
 DEFAULT_REPEATS = 2
 
-#: v1 has per-experiment wall only; v2 adds ``p99_wall_s``; v3 adds
-#: ``devices``/``devices_per_s``; v4 adds ``cache_hit_rate``; v5 adds
-#: ``local_fraction``; v6 adds ``epochs_run``/``epochs_skipped``.  The
-#: reader accepts all six so a fresh v6 run still compares against old
-#: baselines.
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6)
-
 #: opt-in experiments measured with --smoke alongside the default suite
 #: so the sharded kernel's device throughput and the compute cache's
 #: hit rate are part of the baseline
@@ -64,28 +58,12 @@ SMOKE_EXPERIMENTS = ("scale", "megascale", "cachebench", "partition")
 
 def _by_name(payload: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     schema = payload.get("schema_version")
-    if schema not in SUPPORTED_SCHEMAS:
+    if schema != BENCH_SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported bench schema {schema!r} (want one of {SUPPORTED_SCHEMAS})"
+            f"unsupported bench schema {schema!r} (want {BENCH_SCHEMA_VERSION}; "
+            "regenerate the file with `make bench`)"
         )
-    out: Dict[str, Dict[str, Any]] = {}
-    for e in payload["experiments"]:
-        p99 = e.get("p99_wall_s")  # absent in v1, possibly null in v2
-        dps = e.get("devices_per_s")  # absent before v3, null off-family
-        hit = e.get("cache_hit_rate")  # absent before v4, null off-family
-        loc = e.get("local_fraction")  # absent before v5, null off-family
-        erun = e.get("epochs_run")  # absent before v6, null off-family
-        eskip = e.get("epochs_skipped")
-        out[e["name"]] = {
-            "wall_s": float(e["wall_s"]),
-            "p99_wall_s": None if p99 is None else float(p99),
-            "devices_per_s": None if dps is None else float(dps),
-            "cache_hit_rate": None if hit is None else float(hit),
-            "local_fraction": None if loc is None else float(loc),
-            "epochs_run": None if erun is None else int(erun),
-            "epochs_skipped": None if eskip is None else int(eskip),
-        }
-    return out
+    return {e["name"]: e for e in payload["experiments"]}
 
 
 def compare(
@@ -98,9 +76,9 @@ def compare(
 
     Returns ``(rows, regressions)``: one row per experiment present in
     both payloads (with ``name``, ``base_s``, ``fresh_s``, ``delta``,
-    plus ``base_p99_s``/``fresh_p99_s`` when the payload schema carries
-    them), and the subset whose slowdown exceeds ``threshold`` with
-    both measurements above the noise floor.
+    ``base_p99_s``, ``fresh_p99_s`` and ``changed``, the names of the
+    signals whose value differs), and the subset whose slowdown exceeds
+    ``threshold`` with both measurements above the noise floor.
     """
     base = _by_name(baseline)
     new = _by_name(fresh)
@@ -109,31 +87,35 @@ def compare(
     for name, b in base.items():
         if name not in new:
             continue
-        base_s, fresh_s = b["wall_s"], new[name]["wall_s"]
+        f = new[name]
+        base_s, fresh_s = b["wall_s"], f["wall_s"]
         delta = (fresh_s - base_s) / base_s if base_s > 0 else 0.0
+        b_sig, f_sig = b["signals"], f["signals"]
         row = {
             "name": name,
             "base_s": base_s,
             "fresh_s": fresh_s,
             "delta": delta,
             "base_p99_s": b["p99_wall_s"],
-            "fresh_p99_s": new[name]["p99_wall_s"],
-            "base_dev_s": b["devices_per_s"],
-            "fresh_dev_s": new[name]["devices_per_s"],
-            "base_hit": b["cache_hit_rate"],
-            "fresh_hit": new[name]["cache_hit_rate"],
-            "base_loc": b["local_fraction"],
-            "fresh_loc": new[name]["local_fraction"],
-            "base_epochs": (b["epochs_run"], b["epochs_skipped"]),
-            "fresh_epochs": (
-                new[name]["epochs_run"],
-                new[name]["epochs_skipped"],
-            ),
+            "fresh_p99_s": f["p99_wall_s"],
+            "changed": [
+                s for s in dict.fromkeys([*b_sig, *f_sig])
+                if b_sig.get(s) != f_sig.get(s)
+            ],
         }
         rows.append(row)
         if delta > threshold and base_s >= floor_s and fresh_s >= floor_s:
             regressions.append(row)
     return rows, regressions
+
+
+def host_caveat(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> Optional[str]:
+    """Why the wall comparison is no parallel-speedup measurement, or None."""
+    hosts = {(p.get("cpu_count"), p.get("jobs")) for p in (baseline, fresh)}
+    if len(hosts) > 1:
+        return "the sides differ in cpu_count/jobs"
+    ((cpus, jobs),) = hosts
+    return f"jobs={jobs} exceeds cpu_count={cpus}" if jobs > (cpus or 1) else None
 
 
 def run_fresh_suite(repeats: int = DEFAULT_REPEATS) -> Dict[str, Any]:
@@ -145,7 +127,6 @@ def run_fresh_suite(repeats: int = DEFAULT_REPEATS) -> Dict[str, Any]:
     opt-ins (:data:`SMOKE_EXPERIMENTS`) are measured with their smoke
     configs appended, matching the ``make bench`` baseline.
     """
-    from repro.experiments.engine import benchmark_payload, collect_timings
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
     bench_rows = []
@@ -210,39 +191,23 @@ def main(argv=None) -> int:
         fresh = run_fresh_suite(repeats=args.repeats)
 
     rows, regressions = compare(baseline, fresh, args.threshold, args.floor)
+    for side, payload in (("base", baseline), ("fresh", fresh)):
+        print(f"{side} host: cpu_count={payload.get('cpu_count')} "
+              f"jobs={payload.get('jobs')}")
     print(
         f"{'experiment':14s} {'base':>8s} {'fresh':>8s} {'delta':>8s} "
-        f"{'b.p99':>8s} {'f.p99':>8s} {'b.dev/s':>9s} {'f.dev/s':>9s} "
-        f"{'b.hit%':>7s} {'f.hit%':>7s} {'b.loc%':>7s} {'f.loc%':>7s} "
-        f"{'b.epoch':>9s} {'f.epoch':>9s}"
+        f"{'b.p99':>8s} {'f.p99':>8s}  changed signals"
     )
 
     def p99(value) -> str:
         return "-" if value is None else f"{value:.2f}s"
-
-    def devs(value) -> str:
-        return "-" if value is None else f"{value / 1e3:.0f}k"
-
-    def hits(value) -> str:
-        return "-" if value is None else f"{100 * value:.0f}%"
-
-    def epochs(pair) -> str:
-        # (epochs_run, epochs_skipped) as "run/skip"; dash off-family
-        run, skip = pair if pair is not None else (None, None)
-        if run is None:
-            return "-"
-        return f"{run}/{0 if skip is None else skip}"
 
     for row in rows:
         flag = "  <-- REGRESSION" if row in regressions else ""
         print(
             f"{row['name']:14s} {row['base_s']:7.2f}s {row['fresh_s']:7.2f}s "
             f"{100 * row['delta']:+7.1f}% {p99(row['base_p99_s']):>8s} "
-            f"{p99(row['fresh_p99_s']):>8s} {devs(row.get('base_dev_s')):>9s} "
-            f"{devs(row.get('fresh_dev_s')):>9s} {hits(row.get('base_hit')):>7s} "
-            f"{hits(row.get('fresh_hit')):>7s} {hits(row.get('base_loc')):>7s} "
-            f"{hits(row.get('fresh_loc')):>7s} {epochs(row.get('base_epochs')):>9s} "
-            f"{epochs(row.get('fresh_epochs')):>9s}{flag}"
+            f"{p99(row['fresh_p99_s']):>8s}  {','.join(row['changed']) or '-'}{flag}"
         )
     total_base = sum(r["base_s"] for r in rows)
     total_fresh = sum(r["fresh_s"] for r in rows)
@@ -250,14 +215,16 @@ def main(argv=None) -> int:
         f"{'TOTAL':14s} {total_base:7.2f}s {total_fresh:7.2f}s "
         f"{100 * (total_fresh - total_base) / total_base:+7.1f}%"
     )
+    caveat = host_caveat(baseline, fresh)
+    caveat = f" (not a parallel-speedup measurement: {caveat})" if caveat else ""
     if regressions:
         names = ", ".join(r["name"] for r in regressions)
         print(
             f"\nFAIL: {len(regressions)} experiment(s) regressed more than "
-            f"{100 * args.threshold:.0f}%: {names}"
+            f"{100 * args.threshold:.0f}%: {names}{caveat}"
         )
         return 1
-    print(f"\nOK: no experiment regressed more than {100 * args.threshold:.0f}%")
+    print(f"\nOK: no experiment regressed more than {100 * args.threshold:.0f}%{caveat}")
     return 0
 
 

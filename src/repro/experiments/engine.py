@@ -16,8 +16,10 @@ flag):
 - ``None``      — one worker per CPU.
 
 If a process pool cannot be created (no ``fork``/``spawn`` support,
-sandboxed interpreter, unpicklable cell) the engine silently falls
-back to the in-process serial path — same results, no parallelism.
+sandboxed interpreter, unpicklable cell) the engine runs the cells on
+the in-process serial path with a :class:`RuntimeWarning` naming the
+cause — same results, no parallelism.  A cell's own exception and a
+dead worker are never masked: both raise from :func:`run_cells`.
 
 Observability composes with parallelism: when process-wide auto-attach
 is on (``--trace``/``--metrics``), each worker re-enables identical
@@ -34,9 +36,14 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+# The sharded kernel's rule for "no worker pool here" (sandboxed
+# interpreter, fork limits, unpicklable payload): only these fall back.
+from ..sim.shard import _POOL_UNAVAILABLE
 
 __all__ = [
     "Cell",
@@ -46,18 +53,27 @@ __all__ = [
     "default_jobs",
     "benchmark_payload",
     "BENCH_SCHEMA_VERSION",
+    "SIGNALS",
 ]
 
-#: bump when the BENCH_experiments.json layout changes incompatibly
-#: (v2 adds per-experiment ``p99_wall_s`` over the cell wall-clocks;
-#: v3 adds ``devices``/``devices_per_s`` throughput for scale-family
-#: experiments whose cells report a ``devices`` count;
-#: v5 adds ``local_fraction`` for partition-family experiments whose
-#: cells report the fraction of requests executed on the handset;
-#: v6 adds ``epochs_run``/``epochs_skipped`` sync-engine counters for
-#: sharded experiments whose cells report them)
-BENCH_SCHEMA_VERSION = 6
+#: bump only when the BENCH_experiments.json layout changes shape; a new
+#: signal is one :data:`SIGNALS` entry, never a version bump
+BENCH_SCHEMA_VERSION = 7
 
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+#: numeric entries a cell's mapping return value may report, each with
+#: the roll-up over the reporting cells that gives the experiment's value
+SIGNALS: Dict[str, Callable[[Sequence[float]], float]] = {
+    "devices": sum,
+    "epochs_run": sum,
+    "epochs_skipped": sum,
+    "cache_hit_rate": _mean,
+    "local_fraction": _mean,
+}
 
 @dataclass(frozen=True)
 class Cell:
@@ -84,60 +100,30 @@ class Cell:
 class CellTiming:
     """Wall-clock record for one executed cell.
 
-    ``devices`` is the simulated-device count the cell reported (cells
-    returning a mapping with a ``"devices"`` entry — the scale family),
-    or ``None`` for cells that don't model a device fleet.
-    ``cache_hit_rate`` is the compute-result cache hit fraction the
-    cell reported (cells returning a mapping with a ``"cache_hit_rate"``
-    entry — the cachebench family), or ``None`` for cache-less cells.
-    ``local_fraction`` is the fraction of requests the partition layer
-    kept on the handset (cells returning a mapping with a
-    ``"local_fraction"`` entry — the partition family), or ``None``.
-    ``epochs_run``/``epochs_skipped`` are the sharded kernel's sync
-    counters (cells returning mappings with those entries — the
-    megascale family), or ``None`` for unsharded cells.
+    ``signals`` holds the :data:`SIGNALS` entries the cell's mapping
+    return value reported; a signal the cell does not report is absent.
     """
 
     experiment: str
     key: Tuple[Any, ...]
     wall_s: float
-    devices: Optional[int] = None
-    cache_hit_rate: Optional[float] = None
-    local_fraction: Optional[float] = None
-    epochs_run: Optional[int] = None
-    epochs_skipped: Optional[int] = None
+    signals: Dict[str, float] = field(default_factory=dict)
 
 
-def _devices_of(value: Any) -> Optional[int]:
-    """The ``devices`` count a cell's return value reports, if any."""
-    return _int_of(value, "devices")
+def _signals_of(value: Any) -> Dict[str, float]:
+    """The :data:`SIGNALS` entries a cell's return value reports."""
+    if not isinstance(value, Mapping):
+        return {}
+    return {
+        name: value[name]
+        for name in SIGNALS
+        if isinstance(value.get(name), (int, float))
+        and not isinstance(value[name], bool)
+    }
 
 
-def _int_of(value: Any, key: str) -> Optional[int]:
-    """An integer entry of a cell's mapping return value, if any."""
-    if isinstance(value, Mapping):
-        count = value.get(key)
-        if isinstance(count, int) and not isinstance(count, bool):
-            return count
-    return None
-
-
-def _hit_rate_of(value: Any) -> Optional[float]:
-    """The cache hit rate a cell's return value reports, if any."""
-    if isinstance(value, Mapping):
-        rate = value.get("cache_hit_rate")
-        if isinstance(rate, (int, float)) and not isinstance(rate, bool):
-            return float(rate)
-    return None
-
-
-def _local_fraction_of(value: Any) -> Optional[float]:
-    """The locally-executed fraction a cell reports, if any."""
-    if isinstance(value, Mapping):
-        fraction = value.get("local_fraction")
-        if isinstance(fraction, (int, float)) and not isinstance(fraction, bool):
-            return float(fraction)
-    return None
+class _CellError(Exception):
+    """A cell's own exception, carried out of a pool worker."""
 
 
 # Timings flow to whichever collector is active; `None` means drop them.
@@ -163,36 +149,38 @@ def default_jobs() -> int:
 
 
 def _execute_cell(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Tuple[Any, float]:
-    """Worker entry point: run one cell, timing it inside the worker."""
+    """Run one cell, timing it where it runs."""
     t0 = time.perf_counter()
     value = fn(**dict(kwargs))
     return value, time.perf_counter() - t0
 
 
-def _execute_cell_observed(
+def _execute_pooled(
     fn: Callable[..., Any],
     kwargs: Mapping[str, Any],
-    tracing: bool,
-    metrics: bool,
+    flags: Optional[Tuple[bool, bool]],
 ) -> Tuple[Any, float, List[Dict[str, Any]]]:
-    """Worker entry point when process-wide observability is on.
+    """Worker entry point: run one cell and ship its snapshots back.
 
-    Re-enables the parent's auto-attach flags inside the worker, runs
-    the cell, and ships the drained snapshots back as plain dicts (the
-    live Observability objects hold an Environment and never pickle).
+    With process-wide observability on (``flags``), re-enables the
+    parent's auto-attach flags inside the worker and returns the drained
+    snapshots as plain dicts (the live Observability objects hold an
+    Environment and never pickle).  The cell's own exception travels
+    back wrapped in :class:`_CellError`, so the parent re-raises it
+    instead of taking it for an unavailable pool.
     """
     from .. import obs as obs_mod
 
     obs_mod.disable_auto()  # fork may have inherited parent auto state
-    obs_mod.enable_auto(tracing=tracing, metrics=metrics)
+    if flags is not None:
+        obs_mod.enable_auto(tracing=flags[0], metrics=flags[1])
     try:
-        t0 = time.perf_counter()
-        value = fn(**dict(kwargs))
-        wall = time.perf_counter() - t0
-        snaps = obs_mod.drain()
+        value, wall = _execute_cell(fn, kwargs)
+        return value, wall, obs_mod.drain()
+    except Exception as exc:
+        raise _CellError(exc) from exc
     finally:
         obs_mod.disable_auto()
-    return value, wall, snaps
 
 
 def _run_serial(cells: Sequence[Cell]) -> List[Tuple[Any, float]]:
@@ -206,28 +194,17 @@ def _run_pool(cells: Sequence[Cell], workers: int) -> List[Tuple[Any, float]]:
 
     flags = obs_mod.auto_flags()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if flags is None:
-            futures = [
-                pool.submit(_execute_cell, cell.fn, dict(cell.kwargs))
-                for cell in cells
-            ]
-            # Collect in submission order — determinism does not depend
-            # on completion order.
-            return [f.result() for f in futures]
-        tracing, metrics = flags
         futures = [
-            pool.submit(_execute_cell_observed, cell.fn, dict(cell.kwargs), tracing, metrics)
+            pool.submit(_execute_pooled, cell.fn, dict(cell.kwargs), flags)
             for cell in cells
         ]
-        # Resolve every future BEFORE absorbing any snapshots: if one
-        # raises, run_cells falls back to the serial path, and half-
-        # absorbed snapshots would then be drained twice.
+        # Collect in submission order — determinism does not depend on
+        # completion order — and resolve every future before absorbing
+        # any snapshots, so a failed run absorbs none.
         outcomes = [f.result() for f in futures]
-        results: List[Tuple[Any, float]] = []
-        for value, wall, snaps in outcomes:
-            obs_mod.absorb(snaps)  # cell submission order == serial order
-            results.append((value, wall))
-        return results
+    for _, _, snaps in outcomes:
+        obs_mod.absorb(snaps)  # cell submission order == serial order
+    return [(value, wall) for value, wall, _ in outcomes]
 
 
 def run_cells(cells: Sequence[Cell], jobs: Optional[int] = 0) -> List[Any]:
@@ -250,23 +227,20 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = 0) -> List[Any]:
     else:
         try:
             outcomes = _run_pool(cells, workers)
-        except Exception:
-            # Pool unavailable (sandbox, pickling, interpreter limits):
-            # identical results via the in-process fallback.
+        except _CellError as err:
+            raise err.args[0] from err  # the cell failed, not the pool
+        except _POOL_UNAVAILABLE as exc:
+            warnings.warn(
+                f"experiment worker pool unavailable ({exc!r}); "
+                f"running {len(cells)} cell(s) serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             outcomes = _run_serial(cells)
     if _active_timings is not None:
         for cell, (value, wall_s) in zip(cells, outcomes):
             _active_timings.append(
-                CellTiming(
-                    cell.experiment,
-                    cell.key,
-                    wall_s,
-                    _devices_of(value),
-                    _hit_rate_of(value),
-                    _local_fraction_of(value),
-                    _int_of(value, "epochs_run"),
-                    _int_of(value, "epochs_skipped"),
-                )
+                CellTiming(cell.experiment, cell.key, wall_s, _signals_of(value))
             )
     return [value for value, _ in outcomes]
 
@@ -278,28 +252,14 @@ def benchmark_payload(
 ) -> Dict[str, Any]:
     """Assemble the ``BENCH_experiments.json`` document.
 
-    ``experiments`` rows carry ``name``, ``wall_s`` and a ``cells``
-    list of ``{"key": [...], "wall_s": ...}`` entries.  Schema v2 adds
-    ``p99_wall_s`` — the nearest-rank p99 over the experiment's cell
-    wall-clocks (``null`` when no cells were timed), the tail signal
-    the comparator trends across PRs.  Schema v3 adds throughput for
-    the scale family: per-cell ``devices`` (when the cell reported a
-    fleet size), per-experiment ``devices`` (their sum) and
-    ``devices_per_s`` (devices over summed cell wall-clock; ``null``
-    when no cell reported devices).  Schema v4 adds the compute-result
-    cache signal: per-cell ``cache_hit_rate`` (when the cell reported
-    one) and per-experiment ``cache_hit_rate`` — the unweighted mean
-    over reporting cells, ``null`` when none report (so the comparator
-    can trend cache effectiveness across PRs alongside throughput).
-    Schema v5 adds the partition signal the same way: per-cell and
-    per-experiment ``local_fraction`` (unweighted mean over reporting
-    cells) — how much work the decision layer kept on the handset.
-    Schema v6 adds the sharded sync-engine counters: per-cell and
-    per-experiment ``epochs_run``/``epochs_skipped`` (sums over
-    reporting cells, ``null`` when none report) — how many sync
-    barriers the epoch loop executed vs elided via idle-epoch
-    skipping.  The schema is covered by a tier-1 smoke test so
-    downstream tooling can trend wall-clock across PRs.
+    ``experiments`` rows carry ``name``, ``wall_s`` and the ``timings``
+    a :func:`collect_timings` block gathered.  Each becomes
+    ``{"name", "wall_s", "p99_wall_s", "signals", "cells"}``:
+    ``p99_wall_s`` is the nearest-rank p99 over the cell wall-clocks
+    (``null`` when no cells were timed), each cell is
+    ``{"key", "wall_s", "signals"}``, and the experiment's ``signals``
+    roll each reported :data:`SIGNALS` entry up over the cells that
+    report it.  A signal no cell reports is left out, not ``null``.
     """
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -313,47 +273,20 @@ def benchmark_payload(
 
 
 def _experiment_row(row: Mapping[str, Any]) -> Dict[str, Any]:
-    """One per-experiment entry of the v3 benchmark payload."""
+    """One per-experiment entry of the benchmark payload."""
     timings = list(row.get("timings", ()))
-    device_cells = [t for t in timings if t.devices is not None]
-    devices = sum(t.devices for t in device_cells) if device_cells else None
-    device_wall = sum(t.wall_s for t in device_cells)
-    hit_rates = [t.cache_hit_rate for t in timings if t.cache_hit_rate is not None]
-    local_fractions = [
-        t.local_fraction for t in timings if t.local_fraction is not None
-    ]
-    epochs_run = [t.epochs_run for t in timings if t.epochs_run is not None]
-    epochs_skipped = [
-        t.epochs_skipped for t in timings if t.epochs_skipped is not None
-    ]
+    signals = {}
+    for name, rollup in SIGNALS.items():
+        values = [t.signals[name] for t in timings if name in t.signals]
+        if values:
+            signals[name] = rollup(values)
     return {
         "name": row["name"],
         "wall_s": row["wall_s"],
         "p99_wall_s": _p99([t.wall_s for t in timings]),
-        "devices": devices,
-        "devices_per_s": (
-            devices / device_wall if devices and device_wall > 0 else None
-        ),
-        "cache_hit_rate": (
-            sum(hit_rates) / len(hit_rates) if hit_rates else None
-        ),
-        "local_fraction": (
-            sum(local_fractions) / len(local_fractions)
-            if local_fractions
-            else None
-        ),
-        "epochs_run": sum(epochs_run) if epochs_run else None,
-        "epochs_skipped": sum(epochs_skipped) if epochs_skipped else None,
+        "signals": signals,
         "cells": [
-            {
-                "key": list(t.key),
-                "wall_s": t.wall_s,
-                "devices": t.devices,
-                "cache_hit_rate": t.cache_hit_rate,
-                "local_fraction": t.local_fraction,
-                "epochs_run": t.epochs_run,
-                "epochs_skipped": t.epochs_skipped,
-            }
+            {"key": list(t.key), "wall_s": t.wall_s, "signals": t.signals}
             for t in timings
         ],
     }

@@ -6,34 +6,22 @@ import os
 
 import pytest
 
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 _SPEC = importlib.util.spec_from_file_location(
-    "bench_compare",
-    os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "compare.py"),
+    "bench_compare", os.path.join(_ROOT, "benchmarks", "compare.py")
 )
 bench_compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_compare)
 
 
-def _payload(walls, schema=1, devices=None, hit_rate=None, local_fraction=None,
-             epochs=None):
-    rows = []
-    for n, w in walls.items():
-        row = {"name": n, "wall_s": w}
-        if schema >= 2:
-            row["p99_wall_s"] = w  # single-cell experiments: p99 == wall
-        if schema >= 3:
-            row["devices"] = devices
-            row["devices_per_s"] = None if devices is None else devices / w
-        if schema >= 4:
-            row["cache_hit_rate"] = hit_rate
-        if schema >= 5:
-            row["local_fraction"] = local_fraction
-        if schema >= 6:
-            run, skipped = epochs if epochs is not None else (None, None)
-            row["epochs_run"] = run
-            row["epochs_skipped"] = skipped
-        rows.append(row)
-    return {"schema_version": schema, "experiments": rows}
+def _payload(walls, signals=None, cpu_count=2, jobs=0):
+    rows = [
+        {"name": n, "wall_s": w, "p99_wall_s": w,  # single cell: p99 == wall
+         "signals": dict(signals or {}), "cells": []}
+        for n, w in walls.items()
+    ]
+    return {"schema_version": bench_compare.BENCH_SCHEMA_VERSION,
+            "jobs": jobs, "cpu_count": cpu_count, "experiments": rows}
 
 
 def test_compare_flags_regressions_over_threshold():
@@ -75,100 +63,45 @@ def test_compare_ignores_experiments_missing_from_fresh():
 
 
 def test_compare_rejects_unknown_schema():
-    bad = {"schema_version": 99, "experiments": []}
-    with pytest.raises(ValueError, match="schema"):
-        bench_compare.compare(bad, _payload({}))
-    with pytest.raises(ValueError, match="schema"):
-        bench_compare.compare(_payload({}), {"experiments": []})
+    # Only the engine's own schema is read: older baselines are
+    # regenerated with `make bench`, not translated.
+    for bad in ({"schema_version": 99, "experiments": []},
+                {"schema_version": 6, "experiments": []},
+                {"experiments": []}):
+        with pytest.raises(ValueError, match="schema"):
+            bench_compare.compare(bad, _payload({}))
+        with pytest.raises(ValueError, match="schema"):
+            bench_compare.compare(_payload({}), bad)
 
 
-def test_compare_reads_v1_baseline_against_v2_fresh():
-    # A v1 baseline (no p99) still compares against a fresh v2 run; the
-    # missing tail column surfaces as None, not an error.
-    rows, regressions = bench_compare.compare(
-        _payload({"fig9": 1.0}, schema=1),
-        _payload({"fig9": 1.1}, schema=2),
-    )
-    assert rows[0]["base_p99_s"] is None
-    assert rows[0]["fresh_p99_s"] == pytest.approx(1.1)
+def test_compare_lists_changed_signals():
+    # Signals are deterministic, so any difference is reported by name:
+    # a changed value, a signal only one side reports, in first-seen order.
+    base = _payload({"megascale": 2.0}, {
+        "devices": 3500, "cache_hit_rate": 0.6, "local_fraction": 0.25,
+        "epochs_run": 300, "epochs_skipped": 900,
+    })
+    same = bench_compare.compare(base, base)[0][0]
+    assert same["changed"] == []
+    assert same["base_p99_s"] == same["fresh_p99_s"] == pytest.approx(2.0)
+    fresh = _payload({"megascale": 2.0}, {
+        "devices": 3500, "cache_hit_rate": 0.65, "epochs_run": 310,
+        "epochs_skipped": 900, "new_signal": 1,
+    })
+    (row,), regressions = bench_compare.compare(base, fresh)
+    assert row["changed"] == [
+        "cache_hit_rate", "local_fraction", "epochs_run", "new_signal",
+    ]
     assert regressions == []
 
 
-def test_compare_carries_v2_p99_through():
-    rows, _ = bench_compare.compare(
-        _payload({"fig9": 1.0}, schema=2),
-        _payload({"fig9": 1.0}, schema=2),
-    )
-    assert rows[0]["base_p99_s"] == pytest.approx(1.0)
-    assert rows[0]["fresh_p99_s"] == pytest.approx(1.0)
-
-
-def test_compare_carries_v3_device_throughput_through():
-    # v3 baselines surface devices/s; a v2 baseline against a fresh v3
-    # run leaves the base column None instead of erroring.
-    rows, _ = bench_compare.compare(
-        _payload({"scale": 2.0}, schema=3, devices=3500),
-        _payload({"scale": 2.0}, schema=3, devices=3500),
-    )
-    assert rows[0]["base_dev_s"] == pytest.approx(1750.0)
-    assert rows[0]["fresh_dev_s"] == pytest.approx(1750.0)
-    rows, _ = bench_compare.compare(
-        _payload({"scale": 2.0}, schema=2),
-        _payload({"scale": 2.0}, schema=3, devices=3500),
-    )
-    assert rows[0]["base_dev_s"] is None
-    assert rows[0]["fresh_dev_s"] == pytest.approx(1750.0)
-
-
-def test_compare_carries_v4_hit_rate_through():
-    # v4 baselines surface the cache hit rate; a v3 baseline against a
-    # fresh v4 run leaves the base column None instead of erroring.
-    rows, _ = bench_compare.compare(
-        _payload({"cachebench": 2.0}, schema=4, hit_rate=0.6),
-        _payload({"cachebench": 2.0}, schema=4, hit_rate=0.65),
-    )
-    assert rows[0]["base_hit"] == pytest.approx(0.6)
-    assert rows[0]["fresh_hit"] == pytest.approx(0.65)
-    rows, _ = bench_compare.compare(
-        _payload({"cachebench": 2.0}, schema=3),
-        _payload({"cachebench": 2.0}, schema=4, hit_rate=0.65),
-    )
-    assert rows[0]["base_hit"] is None
-    assert rows[0]["fresh_hit"] == pytest.approx(0.65)
-
-
-def test_compare_carries_v5_local_fraction_through():
-    # v5 baselines surface the partition layer's local fraction; a v4
-    # baseline against a fresh v5 run leaves the base column None.
-    rows, _ = bench_compare.compare(
-        _payload({"partition": 2.0}, schema=5, local_fraction=0.25),
-        _payload({"partition": 2.0}, schema=5, local_fraction=0.30),
-    )
-    assert rows[0]["base_loc"] == pytest.approx(0.25)
-    assert rows[0]["fresh_loc"] == pytest.approx(0.30)
-    rows, _ = bench_compare.compare(
-        _payload({"partition": 2.0}, schema=4),
-        _payload({"partition": 2.0}, schema=5, local_fraction=0.30),
-    )
-    assert rows[0]["base_loc"] is None
-    assert rows[0]["fresh_loc"] == pytest.approx(0.30)
-
-
-def test_compare_carries_v6_epoch_counters_through():
-    # v6 baselines surface the sharded sync-engine counters; a v5
-    # baseline against a fresh v6 run leaves the base column None.
-    rows, _ = bench_compare.compare(
-        _payload({"megascale": 2.0}, schema=6, epochs=(300, 900)),
-        _payload({"megascale": 2.0}, schema=6, epochs=(310, 890)),
-    )
-    assert rows[0]["base_epochs"] == (300, 900)
-    assert rows[0]["fresh_epochs"] == (310, 890)
-    rows, _ = bench_compare.compare(
-        _payload({"megascale": 2.0}, schema=5),
-        _payload({"megascale": 2.0}, schema=6, epochs=(310, 890)),
-    )
-    assert rows[0]["base_epochs"] == (None, None)
-    assert rows[0]["fresh_epochs"] == (310, 890)
+def test_committed_baseline_is_readable():
+    # A schema change without a regenerated baseline fails here.
+    with open(os.path.join(_ROOT, bench_compare.DEFAULT_BASELINE)) as fh:
+        baseline = json.load(fh)
+    experiments = bench_compare._by_name(baseline)
+    assert set(bench_compare.SMOKE_EXPERIMENTS) <= set(experiments)
+    assert all(isinstance(e["signals"], dict) for e in experiments.values())
 
 
 def test_cli_compares_saved_runs(tmp_path, capsys):
@@ -190,3 +123,28 @@ def test_cli_missing_baseline_is_an_error(tmp_path):
     rc = bench_compare.main(["--baseline", str(tmp_path / "nope.json"),
                              "--fresh", str(tmp_path / "nope.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("base_host, fresh_host, caveat", [
+    ((2, 0), (2, 0), None),
+    ((1, 0), (2, 0), "differ"),
+    ((2, 0), (2, 2), "differ"),
+    ((1, 4), (1, 4), "jobs=4 exceeds cpu_count=1"),
+])
+def test_cli_prints_host_facts_and_parallel_caveat(
+    tmp_path, capsys, base_host, fresh_host, caveat
+):
+    base = tmp_path / "base.json"
+    fresh = tmp_path / "fresh.json"
+    base.write_text(json.dumps(_payload({"a": 1.0}, None, *base_host)))
+    fresh.write_text(json.dumps(_payload({"a": 1.0}, None, *fresh_host)))
+    assert bench_compare.main(["--baseline", str(base), "--fresh", str(fresh)]) == 0
+    out = capsys.readouterr().out
+    assert f"base host: cpu_count={base_host[0]} jobs={base_host[1]}" in out
+    assert f"fresh host: cpu_count={fresh_host[0]} jobs={fresh_host[1]}" in out
+    (verdict,) = [line for line in out.splitlines() if line.startswith("OK")]
+    if caveat is None:
+        assert "parallel-speedup" not in verdict
+    else:
+        assert "not a parallel-speedup measurement" in verdict
+        assert caveat in verdict

@@ -1,6 +1,8 @@
 """Tests for the parallel experiment engine (cells, fan-out, bench)."""
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -58,7 +60,37 @@ def test_run_cells_falls_back_to_serial_when_pool_unavailable(monkeypatch):
         raise OSError("no process pool in this sandbox")
 
     monkeypatch.setattr(engine, "_run_pool", broken_pool)
-    assert run_cells(_cells(), jobs=4) == [0, 1, 4, 9]
+    with pytest.warns(RuntimeWarning, match="no process pool in this sandbox"):
+        assert run_cells(_cells(), jobs=4) == [0, 1, 4, 9]
+
+
+def _boom(x):
+    raise ValueError(f"cell {x} failed")
+
+
+def test_run_cells_pooled_cell_error_propagates_without_serial_rerun(monkeypatch):
+    # ValueError is also a pool-unavailable error; a cell raising one
+    # must still surface as itself, not trigger the serial fallback.
+    def no_serial(cells):
+        pytest.fail("a failing cell was re-run serially")
+
+    monkeypatch.setattr(engine, "_run_serial", no_serial)
+    cells = [Cell(experiment="toy", key=(i,), fn=_boom, kwargs={"x": i})
+             for i in range(2)]
+    with pytest.raises(ValueError, match="cell 0 failed"):
+        run_cells(cells, jobs=2)
+
+
+def _die(x):
+    os._exit(1)
+
+
+def test_run_cells_dead_worker_raises(monkeypatch):
+    monkeypatch.setattr(engine, "_run_serial", lambda cells: pytest.fail("masked"))
+    cells = [Cell(experiment="toy", key=(i,), fn=_die, kwargs={"x": i})
+             for i in range(2)]
+    with pytest.raises(BrokenProcessPool):
+        run_cells(cells, jobs=2)
 
 
 def test_collect_timings_records_every_cell():
@@ -114,31 +146,16 @@ def test_benchmark_payload_schema():
         "schema_version", "jobs", "cpu_count", "total_wall_s", "experiments",
     }
     (row,) = payload["experiments"]
-    assert set(row) == {
-        "name", "wall_s", "p99_wall_s", "devices", "devices_per_s",
-        "cache_hit_rate", "local_fraction", "epochs_run", "epochs_skipped",
-        "cells",
-    }
+    assert set(row) == {"name", "wall_s", "p99_wall_s", "signals", "cells"}
+    # toy cells return bare ints: they report no signal, and an absent
+    # signal is left out rather than written as null
+    assert row["signals"] == {}
     assert row["cells"] == [
-        {"key": [0], "wall_s": timings[0].wall_s, "devices": None,
-         "cache_hit_rate": None, "local_fraction": None,
-         "epochs_run": None, "epochs_skipped": None},
-        {"key": [1], "wall_s": timings[1].wall_s, "devices": None,
-         "cache_hit_rate": None, "local_fraction": None,
-         "epochs_run": None, "epochs_skipped": None},
+        {"key": [0], "wall_s": timings[0].wall_s, "signals": {}},
+        {"key": [1], "wall_s": timings[1].wall_s, "signals": {}},
     ]
     # nearest-rank p99 over 2 cells is the slower one
     assert row["p99_wall_s"] == max(t.wall_s for t in timings)
-    # toy cells report no fleet, so v3's throughput fields stay null
-    assert row["devices"] is None
-    assert row["devices_per_s"] is None
-    # ...and no cache either, so v4's hit-rate field stays null
-    assert row["cache_hit_rate"] is None
-    # ...and no partition layer, so v5's local fraction stays null
-    assert row["local_fraction"] is None
-    # ...and no sharded kernel, so v6's epoch counters stay null
-    assert row["epochs_run"] is None
-    assert row["epochs_skipped"] is None
     empty = benchmark_payload(
         [{"name": "none", "wall_s": 0.1}], jobs=0, total_wall_s=0.1
     )
@@ -149,104 +166,59 @@ def _fleet_cell(devices):
     return {"devices": devices, "completed": devices}
 
 
-def test_benchmark_payload_device_throughput():
-    # Cells returning a mapping with "devices" roll up into the v3
-    # per-experiment throughput: devices summed over device cells,
-    # divided by their summed wall-clock.
-    cells = [
-        Cell(experiment="scale", key=(n,), fn=_fleet_cell, kwargs={"devices": n})
-        for n in (1000, 2500)
-    ]
-    with collect_timings() as timings:
-        run_cells(cells, jobs=0)
-    assert [t.devices for t in timings] == [1000, 2500]
-    payload = benchmark_payload(
-        [{"name": "scale", "wall_s": 0.5, "timings": timings}],
-        jobs=0,
-        total_wall_s=0.5,
-    )
-    (row,) = payload["experiments"]
-    assert row["devices"] == 3500
-    wall = sum(t.wall_s for t in timings)
-    assert row["devices_per_s"] == pytest.approx(3500 / wall)
-    assert [c["devices"] for c in row["cells"]] == [1000, 2500]
-
-
 def _cache_cell(rate):
     return {"devices": 100, "cache_hit_rate": rate}
-
-
-def test_benchmark_payload_cache_hit_rate():
-    # Cells returning "cache_hit_rate" roll up into the v4 per-
-    # experiment mean over reporting cells.
-    cells = [
-        Cell(experiment="cachebench", key=(r,), fn=_cache_cell, kwargs={"rate": r})
-        for r in (0.0, 0.9)
-    ]
-    with collect_timings() as timings:
-        run_cells(cells, jobs=0)
-    assert [t.cache_hit_rate for t in timings] == [0.0, 0.9]
-    payload = benchmark_payload(
-        [{"name": "cachebench", "wall_s": 0.5, "timings": timings}],
-        jobs=0,
-        total_wall_s=0.5,
-    )
-    (row,) = payload["experiments"]
-    assert row["cache_hit_rate"] == pytest.approx(0.45)
-    assert [c["cache_hit_rate"] for c in row["cells"]] == [0.0, 0.9]
 
 
 def _partition_cell(fraction):
     return {"devices": 6, "local_fraction": fraction}
 
 
-def test_benchmark_payload_local_fraction():
-    # Cells returning "local_fraction" roll up into the v5 per-
-    # experiment mean over reporting cells.
-    cells = [
-        Cell(experiment="partition", key=(f,), fn=_partition_cell,
-             kwargs={"fraction": f})
-        for f in (0.0, 0.5)
-    ]
-    with collect_timings() as timings:
-        run_cells(cells, jobs=0)
-    assert [t.local_fraction for t in timings] == [0.0, 0.5]
-    payload = benchmark_payload(
-        [{"name": "partition", "wall_s": 0.5, "timings": timings}],
-        jobs=0,
-        total_wall_s=0.5,
-    )
-    (row,) = payload["experiments"]
-    assert row["local_fraction"] == pytest.approx(0.25)
-    assert [c["local_fraction"] for c in row["cells"]] == [0.0, 0.5]
-
-
 def _sharded_cell(run, skipped):
     return {"devices": 50, "epochs_run": run, "epochs_skipped": skipped}
 
 
-def test_benchmark_payload_epoch_counters():
-    # Cells returning "epochs_run"/"epochs_skipped" roll up into the
-    # v6 per-experiment sums over reporting cells.
-    cells = [
-        Cell(experiment="megascale", key=(run,), fn=_sharded_cell,
-             kwargs={"run": run, "skipped": skipped})
-        for run, skipped in ((300, 900), (100, 0))
-    ]
+# Fake cells per signal, with the per-experiment value the schema v3-v6
+# field-by-field roll-up produced: sums for counts, unweighted means over
+# reporting cells for rates.  A signal added to SIGNALS without a case
+# here fails with a KeyError.
+_SIGNAL_CASES = {
+    "devices": (_fleet_cell, [{"devices": 1000}, {"devices": 2500}],
+                [1000, 2500], 3500),
+    "cache_hit_rate": (_cache_cell, [{"rate": 0.0}, {"rate": 0.9}],
+                       [0.0, 0.9], 0.45),
+    "local_fraction": (_partition_cell, [{"fraction": 0.0}, {"fraction": 0.5}],
+                       [0.0, 0.5], 0.25),
+    "epochs_run": (_sharded_cell, [{"run": 300, "skipped": 900},
+                                   {"run": 100, "skipped": 0}],
+                   [300, 100], 400),
+    "epochs_skipped": (_sharded_cell, [{"run": 300, "skipped": 900},
+                                       {"run": 100, "skipped": 0}],
+                       [900, 0], 900),
+}
+
+
+@pytest.mark.parametrize("signal", list(engine.SIGNALS))
+def test_benchmark_payload_signal_rollup(signal):
+    fn, kwargs, per_cell, rolled_up = _SIGNAL_CASES[signal]
+    cells = [Cell(experiment="x", key=(i,), fn=fn, kwargs=kw)
+             for i, kw in enumerate(kwargs)]
     with collect_timings() as timings:
         run_cells(cells, jobs=0)
-    assert [t.epochs_run for t in timings] == [300, 100]
-    assert [t.epochs_skipped for t in timings] == [900, 0]
-    payload = benchmark_payload(
-        [{"name": "megascale", "wall_s": 0.5, "timings": timings}],
+    assert [t.signals[signal] for t in timings] == per_cell
+    (row,) = benchmark_payload(
+        [{"name": "x", "wall_s": 0.5, "timings": timings}],
         jobs=0,
         total_wall_s=0.5,
-    )
-    (row,) = payload["experiments"]
-    assert row["epochs_run"] == 400
-    assert row["epochs_skipped"] == 900
-    assert [c["epochs_run"] for c in row["cells"]] == [300, 100]
-    assert [c["epochs_skipped"] for c in row["cells"]] == [900, 0]
+    )["experiments"]
+    assert row["signals"][signal] == pytest.approx(rolled_up)
+    assert [c["signals"][signal] for c in row["cells"]] == per_cell
+
+
+def test_signals_skip_non_numeric_entries():
+    assert engine._signals_of({"devices": True, "cache_hit_rate": "high",
+                               "local_fraction": 0.5}) == {"local_fraction": 0.5}
+    assert engine._signals_of([("devices", 3)]) == {}
 
 
 def test_runner_bench_writes_stable_schema(tmp_path, capsys):
@@ -259,7 +231,5 @@ def test_runner_bench_writes_stable_schema(tmp_path, capsys):
     (row,) = payload["experiments"]
     assert row["name"] == "sec3e"
     assert row["cells"] and all(
-        set(c) == {"key", "wall_s", "devices", "cache_hit_rate",
-                   "local_fraction", "epochs_run", "epochs_skipped"}
-        for c in row["cells"]
+        set(c) == {"key", "wall_s", "signals"} for c in row["cells"]
     )
