@@ -95,6 +95,73 @@ def test_compare_lists_changed_signals():
     assert regressions == []
 
 
+def test_compare_reads_v1_baseline_against_v2_fresh():
+    # A pre-v7 baseline (v1 had neither p99 nor signals) is not translated:
+    # compare refuses it and names the command that regenerates it.
+    v1 = {"schema_version": 1, "experiments": [{"name": "fig9", "wall_s": 1.0}]}
+    with pytest.raises(ValueError, match="make bench"):
+        bench_compare.compare(v1, _payload({"fig9": 1.1}))
+
+
+def test_compare_carries_v2_p99_through():
+    rows, _ = bench_compare.compare(
+        _payload({"fig9": 1.0}), _payload({"fig9": 1.2})
+    )
+    assert rows[0]["base_p99_s"] == pytest.approx(1.0)
+    assert rows[0]["fresh_p99_s"] == pytest.approx(1.2)
+    # p99 is timing, not model output: it never lists as a changed signal.
+    assert rows[0]["changed"] == []
+
+
+def test_compare_carries_v3_device_throughput_through():
+    # Device counts ride in the signals map; throughput is recovered as
+    # signals.devices / wall_s.  A baseline without the signal against a
+    # fresh run reporting it lists it as changed instead of erroring.
+    fresh = _payload({"scale": 2.0}, {"devices": 3500})
+    (row,), _ = bench_compare.compare(fresh, fresh)
+    assert row["changed"] == []
+    (exp,) = fresh["experiments"]
+    assert exp["signals"]["devices"] / exp["wall_s"] == pytest.approx(1750.0)
+    (row,), _ = bench_compare.compare(_payload({"scale": 2.0}), fresh)
+    assert row["changed"] == ["devices"]
+
+
+def test_compare_carries_v4_hit_rate_through():
+    (row,), _ = bench_compare.compare(
+        _payload({"cachebench": 2.0}, {"cache_hit_rate": 0.6}),
+        _payload({"cachebench": 2.0}, {"cache_hit_rate": 0.65}),
+    )
+    assert row["changed"] == ["cache_hit_rate"]
+    (row,), _ = bench_compare.compare(
+        _payload({"cachebench": 2.0}),
+        _payload({"cachebench": 2.0}, {"cache_hit_rate": 0.65}),
+    )
+    assert row["changed"] == ["cache_hit_rate"]
+
+
+def test_compare_carries_v5_local_fraction_through():
+    (row,), _ = bench_compare.compare(
+        _payload({"partition": 2.0}, {"local_fraction": 0.25}),
+        _payload({"partition": 2.0}, {"local_fraction": 0.30}),
+    )
+    assert row["changed"] == ["local_fraction"]
+    (row,), _ = bench_compare.compare(
+        _payload({"partition": 2.0}, {"local_fraction": 0.25}),
+        _payload({"partition": 2.0}, {"local_fraction": 0.25}),
+    )
+    assert row["changed"] == []
+
+
+def test_compare_carries_v6_epoch_counters_through():
+    base = _payload({"megascale": 2.0},
+                    {"epochs_run": 300, "epochs_skipped": 900})
+    (row,), _ = bench_compare.compare(base, _payload(
+        {"megascale": 2.0}, {"epochs_run": 310, "epochs_skipped": 890}))
+    assert row["changed"] == ["epochs_run", "epochs_skipped"]
+    (row,), _ = bench_compare.compare(_payload({"megascale": 2.0}), base)
+    assert row["changed"] == ["epochs_run", "epochs_skipped"]
+
+
 def test_committed_baseline_is_readable():
     # A schema change without a regenerated baseline fails here.
     with open(os.path.join(_ROOT, bench_compare.DEFAULT_BASELINE)) as fh:
