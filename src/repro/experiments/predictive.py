@@ -5,8 +5,9 @@ real deployment: idle reclamation stops a user's runtime during the
 long gaps between app sessions, so the next session pays the boot again.
 The reactive dispatcher can only react to that arrival; the predictive
 scheduler (``repro.platform.WarmPoolPredictor``) watches the per-app
-arrival-rate EWMA and the ``dispatch.pending_boots`` trend from the
-metrics registry and keeps a warm pool ahead of demand instead.
+arrival-rate EWMA and the trend of its dispatcher's pending cold boots
+and keeps a warm pool ahead of demand instead.  Both arms run without
+observability: the predictor reads only the node's own state.
 
 This experiment replays the identical session-structured chess trace
 through both arms — reactive and predictive — on an app-affinity
@@ -24,7 +25,6 @@ from typing import Any, Dict, List
 
 from ..analysis import render_table
 from ..network import make_link
-from ..obs import Observability
 from ..platform import PredictiveConfig, RattrapPlatform
 from ..sim import Environment
 from ..traces import LiveLabConfig, generate_livelab_trace, replay_trace, trace_to_plans
@@ -43,7 +43,6 @@ TIME_SCALE = 0.25
 def _trace_cell(arm: str, seed: int = 1) -> Dict[str, Any]:
     """Replay the chess trace through one scheduling arm."""
     env = Environment()
-    Observability(env, tracing=False, metrics=True)
     platform = RattrapPlatform(env, optimized=True, dispatch_policy="app-affinity")
     if arm == "predictive":
         # Sessions are sparse: hold the pool across think-time gaps for

@@ -154,7 +154,6 @@ def _predictive_cell(arm: str, seed: int = 1) -> Dict[str, Any]:
     replay the identical inflow with the identical reaper.
     """
     env = Environment()
-    Observability(env, tracing=False, metrics=True)
     cluster = ClusterPlatform(
         env,
         servers=SERVERS,

@@ -113,12 +113,13 @@ class CloudPlatform:
     def enable_predictive(
         self, config: Optional[PredictiveConfig] = None
     ) -> WarmPoolPredictor:
-        """Attach a warm-pool predictor (observability-driven dispatch).
+        """Attach a warm-pool predictor (demand-driven dispatch).
 
         Requires app-affinity dispatch: spares are pooled per app, not
         per device.  The returned predictor does nothing until its tick
-        loop runs — :meth:`start_predictor` — and never pre-boots
-        without a metrics registry on the environment.
+        loop runs — :meth:`start_predictor`.  It reads its signals from
+        this node's dispatcher and scheduler, so it behaves the same
+        with or without observability attached.
         """
         if self.dispatcher.policy != "app-affinity":
             raise ValueError(
@@ -380,8 +381,8 @@ class CloudPlatform:
             if result_hit:
                 metrics.counter("platform.result_cache_hits").inc()
             metrics.histogram("platform.response_s").observe(env.now - started)
-        if self.predictor is not None and self.predictor.cfg.tail_aware:
-            self.scheduler.note_response(record.cid, env.now - started, metrics)
+        if self.scheduler.tail_ranking:
+            self.scheduler.note_response(record.cid, env.now - started)
         result = RequestResult(
             request=request,
             timeline=timeline,

@@ -487,6 +487,10 @@ class Dispatcher:
                 return True
         return False
 
+    def pending_boots(self) -> int:
+        """Demand-driven cold boots in flight (the predictor's trend)."""
+        return len(self._boots)
+
     def pool_spares(self, app_id: str) -> int:
         """READY spares currently pooled for the app."""
         return len(self._pool.get(app_id, ()))

@@ -6,15 +6,17 @@ rather than at VM-level in existing platforms".  Here that means the
 scheduler sees every request (a process inside a container), tracks
 per-runtime concurrency, and picks targets by instantaneous load.
 
-The predictive extension closes the observability loop: a
-:class:`WarmPoolPredictor` watches per-app arrival-rate EWMAs and the
-``dispatch.pending_boots`` trend from the metrics registry and keeps a
-warm-container pool sized to the demand forecast, so a cold-start wave
-lands on pre-booted CACs instead of stalling behind fresh boots.
-Dispatch becomes *tail-aware* at the same time: with observability on,
+The predictive extension adds a control loop inside the same server:
+a :class:`WarmPoolPredictor` watches per-app arrival-rate EWMAs and
+its own dispatcher's pending cold boots, and keeps a warm-container
+pool sized to the demand forecast, so a cold-start wave lands on
+pre-booted CACs instead of stalling behind fresh boots.  Dispatch
+becomes *tail-aware* at the same time:
 :meth:`MonitorScheduler.pick_least_loaded` ranks warm candidates by a
-decayed per-runtime ``response_s`` p95 instead of raw load, steering
-traffic away from containers whose tail latency is drifting.
+decayed per-runtime response p95 the scheduler keeps itself, steering
+traffic away from containers whose tail latency is drifting.  Both
+signals live on the node; the metrics registry, when attached, only
+receives exports.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set
 
-from ..obs import metrics_of
-from ..sim.monitor import TimeSeries
+from ..obs import Histogram, metrics_of
 from .container_db import ContainerDB, ContainerRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +40,9 @@ __all__ = [
     "WarmPoolPredictor",
 ]
 
+#: EWMA smoothing applied to each runtime's response p95
+TAIL_GAMMA = 0.2
+
 
 class MonitorScheduler:
     """Tracks request concurrency and schedules among ready runtimes."""
@@ -46,15 +50,13 @@ class MonitorScheduler:
     def __init__(self, env: "Environment", db: ContainerDB):
         self.env = env
         self.db = db
-        self.active_series = TimeSeries("platform.active_requests")
-        self.active_series.record(env.now, 0.0)
         self._active = 0
         self.peak_active = 0
-        #: tail-aware ranking: when True (predictive platforms) and a
-        #: decayed p95 exists for a candidate, it outranks raw load
+        #: tail-aware ranking: when True (predictive platforms) every
+        #: response feeds :meth:`note_response`, and a candidate's
+        #: decayed p95 outranks raw load
         self.tail_ranking = False
-        #: EWMA smoothing applied to each runtime's histogram p95
-        self.tail_gamma = 0.2
+        self._response_s: Dict[str, Histogram] = {}
         self._tail_p95: Dict[str, float] = {}
 
     # -- monitoring ------------------------------------------------------------
@@ -63,7 +65,6 @@ class MonitorScheduler:
         self.db.begin_request(cid)
         self._active += 1
         self.peak_active = max(self.peak_active, self._active)
-        self.active_series.record(self.env.now, self._active)
         metrics = metrics_of(self.env)
         if metrics is not None:
             metrics.gauge("scheduler.active_requests").set(self._active)
@@ -73,29 +74,25 @@ class MonitorScheduler:
         self.db.end_request(cid)
         self.db.get(cid).last_used = self.env.now
         self._active -= 1
-        self.active_series.record(self.env.now, self._active)
         metrics = metrics_of(self.env)
         if metrics is not None:
             metrics.gauge("scheduler.active_requests").set(self._active)
 
-    def note_response(self, cid: str, response_s: float, metrics) -> None:
+    def note_response(self, cid: str, response_s: float) -> None:
         """Fold one end-to-end response into the runtime's tail estimate.
 
-        Feeds a per-runtime ``sched.response_s.<cid>`` histogram and
-        keeps a decayed copy of its p95, which is what tail-aware
-        ranking sorts by.  With the registry absent (obs off) this is a
-        no-op — ranking falls back to pure load.
+        Feeds this scheduler's own histogram for the runtime and keeps a
+        decayed copy of its p95, which is what tail-aware ranking sorts
+        by.  The histograms are per node: cids repeat across the nodes
+        of a cluster, so a shared registry could not keep them apart.
         """
-        if metrics is None:
-            return
-        hist = metrics.histogram(f"sched.response_s.{cid}")
+        hist = self._response_s.get(cid)
+        if hist is None:
+            hist = self._response_s[cid] = Histogram(cid)
         hist.observe(response_s)
         p95 = hist.quantile(0.95)
         prev = self._tail_p95.get(cid)
-        if prev is None:
-            self._tail_p95[cid] = p95
-        else:
-            self._tail_p95[cid] = prev + self.tail_gamma * (p95 - prev)
+        self._tail_p95[cid] = p95 if prev is None else prev + TAIL_GAMMA * (p95 - prev)
 
     def tail_p95(self, cid: str) -> float:
         """Decayed response-time p95 for a runtime (0.0 = no data yet)."""
@@ -129,10 +126,6 @@ class MonitorScheduler:
                 ),
             )
         return min(ready, key=lambda r: (r.active_requests, -r.total_requests, r.cid))
-
-    def mean_concurrency(self, t0: float, t1: float) -> float:
-        """Time-average number of in-flight requests over a window."""
-        return self.active_series.time_average(t0, t1)
 
 
 class ArrivalRateEWMA:
@@ -217,7 +210,8 @@ class PredictiveConfig:
     drain_ticks: int = 3
     #: rank warm candidates by decayed per-runtime response p95
     tail_aware: bool = True
-    #: samples of dispatch.pending_boots kept for the trend boost
+    #: samples of the dispatcher's pending cold boots kept for the
+    #: trend boost
     trend_window: int = 5
     #: node-wide cap on warm slots across all apps (spares + in-flight
     #: pre-boots); None = unbounded.  The multi-tenant guardrail: a
@@ -230,15 +224,16 @@ class PredictiveConfig:
 
 
 class WarmPoolPredictor:
-    """Observability-driven warm-pool sizing for one platform node.
+    """Demand-driven warm-pool sizing for one platform node.
 
-    Each tick the predictor folds the arrival-rate EWMAs, reads the
-    ``dispatch.pending_boots`` gauge trend from the metrics registry,
-    and reconciles every known app's warm capacity (ready runtimes +
-    pool spares + in-flight boots) against the demand forecast:
-    pre-booting spares on a deficit, draining one per tick on a
-    persistent surplus.  Without a metrics registry it never pre-boots
-    — the predictor is an observability consumer by design.
+    Each tick the predictor folds the arrival-rate EWMAs, samples its
+    own dispatcher's pending cold boots (:meth:`Dispatcher.pending_boots`)
+    for the trend, and reconciles every known app's warm capacity
+    (ready runtimes + pool spares + in-flight boots) against the demand
+    forecast: pre-booting spares on a deficit, draining one per tick on
+    a persistent surplus.  It reads nothing from the metrics registry;
+    with one attached it exports ``sched.arrival_rate.<app>`` and
+    ``sched.target_pool.<app>``.
     """
 
     def __init__(self, platform: "CloudPlatform", config: Optional[PredictiveConfig] = None):
@@ -279,7 +274,7 @@ class WarmPoolPredictor:
         return self._boot_s
 
     def pending_boots_trend(self) -> int:
-        """Rise of ``dispatch.pending_boots`` over the sample window."""
+        """Rise of the dispatcher's pending cold boots over the window."""
         if len(self._pending_samples) < 2:
             return 0
         return self._pending_samples[-1] - self._pending_samples[0]
@@ -349,15 +344,14 @@ class WarmPoolPredictor:
             # its traffic rehashes elsewhere and grows pools there.
             self._surplus_ticks.clear()
             return
-        metrics = metrics_of(platform.env)
-        if metrics is None:
-            return  # no registry, no pre-boot: the predictor reads obs signals
-        self._pending_samples.append(int(metrics.gauge("dispatch.pending_boots").value))
         dispatcher = platform.dispatcher
+        self._pending_samples.append(dispatcher.pending_boots())
+        metrics = metrics_of(platform.env)
         for app_id in self.rates.apps():
             target = self.target_pool(app_id)
-            metrics.gauge(f"sched.arrival_rate.{app_id}").set(self.rates.rate(app_id))
-            metrics.gauge(f"sched.target_pool.{app_id}").set(target)
+            if metrics is not None:
+                metrics.gauge(f"sched.arrival_rate.{app_id}").set(self.rates.rate(app_id))
+                metrics.gauge(f"sched.target_pool.{app_id}").set(target)
             have = len(platform.db.with_app(app_id)) + dispatcher.pool_size(app_id)
             if have < target:
                 for _ in range(target - have):

@@ -25,7 +25,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .monitor import Counter, RateTracker, Tally, TimeSeries, UtilizationTracker
+from .monitor import Counter, RateTracker, TimeSeries, UtilizationTracker
 from .process import Process
 from .resources import (
     Container,
@@ -69,7 +69,6 @@ __all__ = [
     "Counter",
     "UtilizationTracker",
     "RateTracker",
-    "Tally",
     "RandomStreams",
     "EventTracer",
     "TraceEntry",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["TimeSeries", "Counter", "UtilizationTracker", "RateTracker", "Tally"]
+__all__ = ["TimeSeries", "Counter", "UtilizationTracker", "RateTracker"]
 
 
 class TimeSeries:
@@ -180,56 +179,3 @@ class RateTracker:
             "read": self.reads.rate_series(t0, t1, dt) * scale,
             "write": self.writes.rate_series(t0, t1, dt) * scale,
         }
-
-
-@dataclass
-class Tally:
-    """Streaming scalar statistics (count/mean/min/max/variance)."""
-
-    name: str = ""
-    count: int = 0
-    _mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = field(default=math.inf)
-    maximum: float = field(default=-math.inf)
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the running statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "Tally") -> "Tally":
-        """Combine two tallies (parallel aggregation, Chan et al.)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return self
-        n = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / n
-        self._mean = (self._mean * self.count + other._mean * other.count) / n
-        self.count = n
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self

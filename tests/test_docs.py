@@ -57,6 +57,16 @@ def test_metric_catalogue_lists_every_registered_instrument():
         and not (templated and any(e.startswith(prefix) for e in catalogue))
     )
     assert not missing, f"docs/OBSERVABILITY.md catalogue lacks {missing}"
+    # And back: a listed name must be registered as is, or start with
+    # an f-string's fixed prefix (`link.bytes_up` of `link.bytes_{d}`).
+    literal = {prefix for prefix, templated in names if not templated}
+    prefixes = [prefix for prefix, templated in names if templated]
+    assert all(prefixes), "an f-string name with no fixed prefix matches anything"
+    stale = sorted(
+        entry for entry in catalogue
+        if entry not in literal and not any(entry.startswith(p) for p in prefixes)
+    )
+    assert not stale, f"docs/OBSERVABILITY.md lists unregistered {stale}"
 
 
 def _extras(command):

@@ -1,10 +1,10 @@
 """Tests for predictive warm-pool scheduling (scheduler + dispatcher).
 
-Covers the seeded property tests the issue asks for — pool size
-bounded by the hysteresis band, no pre-boot when observability is
-disabled, EWMA monotone convergence under a constant rate — plus the
-dispatcher's FIFO waiter wake-up, preboot ride/claim paths, reaper
-protection, and cluster failover behavior.
+Covers the seeded property tests — pool size bounded by the hysteresis
+band, EWMA monotone convergence under a constant rate — that runs are
+identical with and without observability, that cluster nodes keep
+their signals apart, plus the dispatcher's FIFO waiter wake-up, preboot
+ride/claim paths, reaper protection, and cluster failover behavior.
 """
 
 import pytest
@@ -17,6 +17,8 @@ from repro.offload import OffloadRequest
 from repro.platform import (
     ArrivalRateEWMA,
     ClusterPlatform,
+    ContainerDB,
+    MonitorScheduler,
     PredictiveConfig,
     RattrapPlatform,
 )
@@ -38,6 +40,23 @@ def _request(i, device="d0", app="chess", at=0.0, seq=0):
         request_id=i, device_id=device, app_id=app, profile=CHESS_GAME,
         submitted_at=at, seq_on_device=seq,
     )
+
+
+def _cluster(env, servers=2):
+    return ClusterPlatform(
+        env,
+        servers=servers,
+        policy="device-sticky",
+        platform_factory=lambda e: RattrapPlatform(
+            e, optimized=True, dispatch_policy="app-affinity"
+        ),
+    )
+
+
+def _devices_on(cluster, idx, count):
+    """``count`` device ids whose sticky home is node ``idx``."""
+    devices = (f"dev-{i}" for i in range(1000))
+    return [d for d in devices if cluster._sticky_index(d) == idx][:count]
 
 
 # ----------------------------------------------------------------- EWMA
@@ -118,17 +137,59 @@ def test_pool_drains_after_demand_fades():
     assert plat.predictor.target_pool("chess") == 0
 
 
-def test_no_preboot_without_metrics_registry():
-    """The predictor is an observability consumer: obs off, no pre-boot."""
+def _waves(servers, observe):
+    """Three waves of chess requests, 200 s apart, through a predictive
+    node or cluster; what a run decided, request by request."""
     env = Environment()
-    plat = _platform(env, metrics=False)
+    if observe:
+        Observability(env, tracing=False, metrics=True)
+    cfg = PredictiveConfig(hold_s=1000.0)
+    if servers == 1:
+        plat = _platform(env, metrics=False, config=cfg)
+        nodes = [plat]
+    else:
+        plat = _cluster(env, servers)
+        plat.enable_predictive(cfg)
+        plat.start_predictors()
+        nodes = plat.nodes
+    plat.start_idle_reaper(idle_timeout_s=120.0)
     link = make_link("lan-wifi")
-    for i in range(5):
-        env.run(until=plat.submit(_request(i, device=f"d{i}"), link))
-    env.run(until=env.now + 60.0)
-    assert plat.dispatcher.preboots == 0
-    assert plat.dispatcher.pool_spares("chess") == 0
-    assert plat.predictor.ticks > 0  # the loop ran, and chose to do nothing
+    procs = []
+
+    def inflow(env):
+        for wave in range(3):
+            for d in range(6):
+                rid = wave * 6 + d
+                procs.append(plat.submit(
+                    _request(rid, device=f"dev-{d}", at=env.now, seq=wave), link
+                ))
+                yield env.timeout(0.3)
+            yield env.timeout(200.0)
+
+    env.run(until=env.process(inflow(env)))
+    results = [env.run(until=p) for p in procs]
+    served = [(r.request.request_id, r.executed_on, r.response_time) for r in results]
+    counters = [
+        (
+            n.dispatcher.cold_boots,
+            n.dispatcher.boot_stalls,
+            n.dispatcher.preboots,
+            n.dispatcher.preboot_hits,
+            n.dispatcher.pool_drained,
+        )
+        for n in nodes
+    ]
+    return served, counters
+
+
+@pytest.mark.parametrize("servers", [1, 2])
+def test_predictor_identical_with_and_without_observability(servers):
+    """Observability only exports: the predictor pre-boots and dispatch
+    ranks the same whether or not a metrics registry is attached."""
+    served, counters = _waves(servers, observe=False)
+    assert len(served) == 18
+    assert sum(c[2] for c in counters) > 0  # the predictor did pre-boot
+    assert _waves(servers, observe=True) == (served, counters)
 
 
 def test_enable_predictive_requires_app_affinity():
@@ -221,35 +282,22 @@ def test_boot_waiters_wake_fifo_by_request_id():
 # ------------------------------------------------------------ tail-aware
 def test_tail_ranking_avoids_drifting_runtime():
     env = Environment()
-    Observability(env, tracing=False, metrics=True)
     plat = RattrapPlatform(env, optimized=True, dispatch_policy="app-affinity")
     plat.enable_predictive()
     sched = plat.scheduler
     assert sched.tail_ranking
-    from repro.obs import metrics_of
-
-    metrics = metrics_of(env)
     for _ in range(20):
-        sched.note_response("cac-slow", 9.0, metrics)
-        sched.note_response("cac-fast", 0.5, metrics)
+        sched.note_response("cac-slow", 9.0)
+        sched.note_response("cac-fast", 0.5)
     assert sched.tail_p95("cac-slow") > sched.tail_p95("cac-fast") > 0.0
-    # note_response with no registry is a no-op (pure-load fallback).
-    sched.note_response("cac-none", 1.0, None)
-    assert sched.tail_p95("cac-none") == 0.0
+    assert sched.tail_p95("cac-none") == 0.0  # no data yet
 
 
 # --------------------------------------------------------------- cluster
 def test_cluster_failover_grows_surviving_pools():
     env = Environment()
     Observability(env, tracing=False, metrics=True)
-    cluster = ClusterPlatform(
-        env,
-        servers=2,
-        policy="device-sticky",
-        platform_factory=lambda e: RattrapPlatform(
-            e, optimized=True, dispatch_policy="app-affinity"
-        ),
-    )
+    cluster = _cluster(env)
     cluster.enable_predictive(PredictiveConfig(hold_s=1000.0))
     cluster.start_predictors()
     link = make_link("lan-wifi")
@@ -280,3 +328,52 @@ def test_cluster_failover_grows_surviving_pools():
     assert cluster.nodes[0].dispatcher.preboots == dark_preboots
     env.run(until=env.now + 30.0)
     assert cluster.nodes[0].dispatcher.preboots == dark_preboots
+
+
+def _replayed_tail(response_times):
+    """The decayed p95 a fresh scheduler gives these responses."""
+    sched = MonitorScheduler(Environment(), ContainerDB())
+    for rt in response_times:
+        sched.note_response("cid-1", rt)
+    return sched.tail_p95("cid-1")
+
+
+def test_cluster_nodes_keep_their_tails_apart():
+    """Both nodes number their first runtime cid-1; each node's tail
+    estimate for it sees only the responses that node served."""
+    env = Environment()
+    Observability(env, tracing=False, metrics=True)
+    cluster = _cluster(env)
+    cluster.enable_predictive()  # tail ranking on, no tick loop: no spares
+    links = (make_link("lan-wifi"), make_link("3g"))
+    devices = {0: iter(_devices_on(cluster, 0, 3)), 1: iter(_devices_on(cluster, 1, 5))}
+    served = {0: [], 1: []}
+    for rid, idx in enumerate((0, 1, 0, 1, 0, 1, 1, 1)):
+        r = env.run(until=cluster.submit(
+            _request(rid, device=next(devices[idx]), at=env.now), links[idx]
+        ))
+        assert r.executed_on == "cid-1"
+        served[idx].append(r.response_time)
+    fast, slow = cluster.nodes
+    assert fast.scheduler.tail_p95("cid-1") == _replayed_tail(served[0])
+    assert slow.scheduler.tail_p95("cid-1") == _replayed_tail(served[1])
+
+
+def test_cluster_predictors_sample_only_their_own_boots():
+    """One app cold-booting on node 0, three on node 1: each predictor's
+    pending-boot sample counts its own dispatcher's boots."""
+    env = Environment()
+    Observability(env, tracing=False, metrics=True)
+    cluster = _cluster(env)
+    cluster.enable_predictive()
+    cluster.start_predictors()
+    link = make_link("lan-wifi")
+    rid = 0
+    for idx, apps in ((0, ["chess"]), (1, ["chess", "a1", "a2"])):
+        for device, app in zip(_devices_on(cluster, idx, len(apps)), apps):
+            cluster.submit(_request(rid, device=device, app=app), link)
+            rid += 1
+    env.run(until=1.5)  # first predictor tick at t=1, boots still running
+    samples = [list(node.predictor._pending_samples) for node in cluster.nodes]
+    assert [n.dispatcher.pending_boots() for n in cluster.nodes] == [1, 3]
+    assert samples == [[1], [3]]

@@ -1,7 +1,5 @@
 """Unit + property tests for monitoring probes and RNG streams."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +10,6 @@ from repro.sim import (
     Environment,
     RandomStreams,
     RateTracker,
-    Tally,
     TimeSeries,
     UtilizationTracker,
 )
@@ -174,59 +171,6 @@ def test_rate_tracker_mbps():
     series = rt.mbps_series(0.0, 2.0, 1.0)
     assert series["read"][0] == pytest.approx(1.0)
     assert series["write"][1] == pytest.approx(2.0)
-
-
-# -------------------------------------------------------------------- Tally
-def test_tally_basic_stats():
-    t = Tally()
-    for v in (1.0, 2.0, 3.0, 4.0):
-        t.add(v)
-    assert t.count == 4
-    assert t.mean == pytest.approx(2.5)
-    assert t.minimum == 1.0
-    assert t.maximum == 4.0
-    assert t.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-
-
-def test_tally_empty_mean_nan():
-    assert math.isnan(Tally().mean)
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=100))
-def test_tally_matches_numpy(values):
-    t = Tally()
-    for v in values:
-        t.add(v)
-    assert t.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-    assert t.variance == pytest.approx(np.var(values, ddof=1), rel=1e-6, abs=1e-3)
-
-
-@given(
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
-)
-def test_tally_merge_equals_combined(a, b):
-    ta, tb, tall = Tally(), Tally(), Tally()
-    for v in a:
-        ta.add(v)
-        tall.add(v)
-    for v in b:
-        tb.add(v)
-        tall.add(v)
-    ta.merge(tb)
-    assert ta.count == tall.count
-    assert ta.mean == pytest.approx(tall.mean, rel=1e-9, abs=1e-6)
-    assert ta.variance == pytest.approx(tall.variance, rel=1e-6, abs=1e-3)
-
-
-def test_tally_merge_with_empty():
-    t = Tally()
-    t.add(5.0)
-    t.merge(Tally())
-    assert t.count == 1
-    empty = Tally()
-    empty.merge(t)
-    assert empty.count == 1 and empty.mean == 5.0
 
 
 # ------------------------------------------------------------ RandomStreams
