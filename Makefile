@@ -26,16 +26,16 @@ abuse-smoke:
 	$(PYTHON) -m repro.experiments.runner abuse --smoke --jobs $(JOBS)
 
 ## Run the opt-in 1k-10k device scale ramp (see docs/PERFORMANCE.md).
-## PREDICTIVE=1 runs the reactive-vs-predictive warm-pool comparison
-## instead of the device ramp; JOBS=N fans the ramp cells over N
-## processes (identical output either way).
+## JOBS=N fans the ramp cells over N processes (identical output
+## either way).
 scale:
-	$(PYTHON) -m repro.experiments.runner scale --jobs $(JOBS) $(if $(PREDICTIVE),--predictive)
+	$(PYTHON) -m repro.experiments.runner scale --jobs $(JOBS)
 
-## Run the opt-in LiveLab-trace predictive-scheduling comparison
-## (see docs/PERFORMANCE.md).
+## Run the opt-in reactive-vs-predictive warm-pool comparison: a
+## LiveLab chess trace on one node and VirusScan waves past the idle
+## reaper on a 3-node cluster (see docs/PERFORMANCE.md).
 predictive:
-	$(PYTHON) -m repro.experiments.runner predictive
+	$(PYTHON) -m repro.experiments.runner predictive --jobs $(JOBS)
 
 ## Run the opt-in 1M-device sharded + mesoscale experiment
 ## (see docs/PERFORMANCE.md "Megascale").  JOBS=N runs one

@@ -4,6 +4,7 @@ from .metrics import (
     PhaseSummary,
     failure_rate,
     fraction_above,
+    nearest_rank,
     normalize_to,
     per_request_phase_table,
     phase_means,
@@ -20,6 +21,7 @@ __all__ = [
     "speedup_cdf",
     "fraction_above",
     "failure_rate",
+    "nearest_rank",
     "per_request_phase_table",
     "normalize_to",
     "render_table",

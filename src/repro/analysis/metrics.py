@@ -6,6 +6,7 @@ helpers, so the statistics in EXPERIMENTS.md are computed one way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -20,6 +21,7 @@ __all__ = [
     "speedup_cdf",
     "fraction_above",
     "failure_rate",
+    "nearest_rank",
     "per_request_phase_table",
     "normalize_to",
 ]
@@ -89,6 +91,13 @@ def failure_rate(results: Iterable[RequestResult]) -> float:
     """Share of offloading failures (speedup <= 1)."""
     served = _served(results)
     return sum(r.offloading_failure for r in served) / len(served)
+
+
+def nearest_rank(values: Iterable[float], p: float) -> float:
+    """Nearest-rank ``p``-quantile: the ``ceil(n * p)``-th smallest value
+    (deterministic, no interpolation)."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(len(ordered) * p)) - 1]
 
 
 def per_request_phase_table(

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis import render_table
+from ..analysis import nearest_rank, render_table
 from ..faults import (
     AirtimeHog,
     CacheSquatter,
@@ -99,13 +99,6 @@ FILTER_COST_S = 0.3
 BULK_OCR = OCR.derive(
     "ocr-bulk", file_size_kb=1000.0, cloud_cpu_s=0.5, local_time_s=14.0
 )
-
-
-def _p99(values: List[float]) -> float:
-    """Nearest-rank 99th percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(0, -(-99 * len(ordered) // 100) - 1)  # ceil(0.99 n) - 1
-    return ordered[rank]
 
 
 def _access_controller(arm: str) -> RequestAccessController:
@@ -249,7 +242,7 @@ def _abuse_cell(
         "requests": len(victims),
         "cloud_served": len(cloud),
         "availability": len(cloud) / len(victims) if victims else 0.0,
-        "p99_s": _p99([r.response_time for r in steady]) if steady else 0.0,
+        "p99_s": nearest_rank([r.response_time for r in steady], 0.99) if steady else 0.0,
         "mean_attempts": (
             sum(r.attempts for r in victims) / len(victims) if victims else 0.0
         ),

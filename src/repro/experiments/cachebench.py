@@ -28,13 +28,12 @@ default suite attaches no cache and stays byte-identical.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis import render_table
+from ..analysis import nearest_rank, render_table
 from ..network.link import FlowLink
 from ..network.scenarios import SCENARIOS
 from ..obs import PHASE_KINDS, Observability
@@ -132,9 +131,6 @@ def _summarize(
     """
     rts = sorted(r.response_time for r in results)
 
-    def q(p: float) -> float:
-        return rts[max(1, math.ceil(len(rts) * p)) - 1]
-
     power = PowerModel()
     energy_j = sum(
         power.offload_energy(r, "lan-wifi").total_j for r in results
@@ -156,8 +152,8 @@ def _summarize(
         "cache_hits": hits,
         "cache_hit_rate": hits / len(results) if results else 0.0,
         "mean_s": sum(rts) / len(rts),
-        "p50_s": q(0.50),
-        "p99_s": q(0.99),
+        "p50_s": nearest_rank(rts, 0.50),
+        "p99_s": nearest_rank(rts, 0.99),
         "wall_s": wall_s,
         "sim_window_s": sim_window_s,
         "devices_per_s": (

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..analysis import render_table
+from ..analysis import nearest_rank, render_table
 from ..faults import FaultInjector, FaultPlan
 from ..network import make_link
 from ..obs import Observability
@@ -54,13 +54,6 @@ def _plan_for(scenario: str, seed: int) -> FaultPlan:
     if scenario == "link-blackout":
         return FaultPlan.link_blackout("device-1", at_s=8.0, duration_s=6.0, seed=seed)
     raise ValueError(f"unknown scenario {scenario!r}; known: {SCENARIOS}")
-
-
-def _p99(values: List[float]) -> float:
-    """Nearest-rank 99th percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(0, -(-99 * len(ordered) // 100) - 1)  # ceil(0.99 n) - 1
-    return ordered[rank]
 
 
 def _chaos_cell(scenario: str, seed: int = 1) -> Dict[str, Any]:
@@ -96,7 +89,7 @@ def _chaos_cell(scenario: str, seed: int = 1) -> Dict[str, Any]:
         "cloud_served": len(cloud_served),
         "local_fallbacks": len(local),
         "availability": len(cloud_served) / len(results),
-        "p99_s": _p99([r.response_time for r in results]),
+        "p99_s": nearest_rank([r.response_time for r in results], 0.99),
         "mean_attempts": sum(r.attempts for r in results) / len(results),
         "faults_injected": len(injector.injected),
         "faults_skipped": injector.skipped,

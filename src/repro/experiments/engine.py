@@ -41,6 +41,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..analysis import nearest_rank
+
 # The sharded kernel's rule for "no worker pool here" (sandboxed
 # interpreter, fork limits, unpicklable payload): only these fall back.
 from ..sim.shard import _POOL_UNAVAILABLE
@@ -283,19 +285,12 @@ def _experiment_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "name": row["name"],
         "wall_s": row["wall_s"],
-        "p99_wall_s": _p99([t.wall_s for t in timings]),
+        "p99_wall_s": (
+            nearest_rank([t.wall_s for t in timings], 0.99) if timings else None
+        ),
         "signals": signals,
         "cells": [
             {"key": list(t.key), "wall_s": t.wall_s, "signals": t.signals}
             for t in timings
         ],
     }
-
-
-def _p99(walls: Sequence[float]) -> Optional[float]:
-    """Nearest-rank p99 of the cell wall-clocks; None without cells."""
-    if not walls:
-        return None
-    ordered = sorted(walls)
-    rank = max(1, -(-len(ordered) * 99 // 100))  # ceil without floats
-    return ordered[rank - 1]

@@ -38,13 +38,12 @@ default suite attaches no decider and stays byte-identical.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis import render_table
+from ..analysis import nearest_rank, render_table
 from ..network.scenarios import make_link
 from ..obs import PHASE_KINDS, Observability
 from ..offload import (
@@ -156,9 +155,6 @@ def _cell(scenario: str, arm: str, seed: int = 1, smoke: bool = False) -> Dict[s
     served = [r for r in results if not r.shed]
     rts = sorted(r.response_time for r in served)
 
-    def q(p: float) -> float:
-        return rts[max(1, math.ceil(len(rts) * p)) - 1]
-
     energy_j = sum(device.energy_used_j for device in devices.values())
     local_count = sum(1 for r in served if r.executed_locally)
     phase_sum_s = sum(
@@ -173,8 +169,8 @@ def _cell(scenario: str, arm: str, seed: int = 1, smoke: bool = False) -> Dict[s
         "local_count": local_count,
         "local_fraction": local_count / len(served) if served else 0.0,
         "mean_s": sum(rts) / len(rts) if rts else 0.0,
-        "p50_s": q(0.50) if rts else 0.0,
-        "p99_s": q(0.99) if rts else 0.0,
+        "p50_s": nearest_rank(rts, 0.50) if rts else 0.0,
+        "p99_s": nearest_rank(rts, 0.99) if rts else 0.0,
         "energy_j": energy_j,
         "wall_s": wall_s,
         "events": env.event_count,

@@ -96,17 +96,14 @@ def _registry() -> Dict[str, Tuple[object, str]]:
     return {**EXPERIMENTS, **EXTRA_EXPERIMENTS}
 
 
-def run_experiment(
-    name: str, jobs: int = 0, predictive: bool = False, smoke: bool = False
-) -> str:
+def run_experiment(name: str, jobs: int = 0, smoke: bool = False) -> str:
     """Run one experiment and return its report text.
 
     ``jobs`` is forwarded to the experiment's cell engine: ``0``/``1``
     runs serially, ``N`` fans the cells over up to N processes.  The
-    report text is identical either way.  ``predictive`` and ``smoke``
-    are forwarded only to experiments whose ``run`` accepts them (the
-    warm-pool comparison modes and the scale family's abbreviated
-    configs); others ignore the flags.
+    report text is identical either way.  ``smoke`` is forwarded only
+    to experiments whose ``run`` accepts it (the scale family's
+    abbreviated configs); others ignore the flag.
     """
     import inspect
 
@@ -119,8 +116,6 @@ def run_experiment(
         ) from None
     params = inspect.signature(module.run).parameters
     kwargs = {"jobs": jobs}
-    if predictive and "predictive" in params:
-        kwargs["predictive"] = True
     if smoke and "smoke" in params:
         kwargs["smoke"] = True
     return module.report(module.run(**kwargs))
@@ -258,13 +253,6 @@ def main(argv=None) -> int:
         "and dump snapshots per experiment (see --obs-dir)",
     )
     parser.add_argument(
-        "--predictive",
-        action="store_true",
-        help="enable predictive warm-pool scheduling in experiments that "
-        "support it (currently: scale) and report the reactive-vs-"
-        "predictive comparison",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="run abbreviated configs in experiments that support them "
@@ -332,12 +320,7 @@ def main(argv=None) -> int:
         for name in names:
             t0 = time.perf_counter()
             with collect_timings() as timings:
-                text = run_experiment(
-                    name,
-                    jobs=args.jobs,
-                    predictive=args.predictive,
-                    smoke=args.smoke,
-                )
+                text = run_experiment(name, jobs=args.jobs, smoke=args.smoke)
             elapsed = time.perf_counter() - t0
             bench_rows.append({"name": name, "wall_s": elapsed, "timings": list(timings)})
             print(f"\n{'#' * 72}\n# {name}: {registry[name][1]}  ({elapsed:.1f}s)\n{'#' * 72}")

@@ -26,7 +26,6 @@ that is the point.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Dict, List
 
@@ -37,7 +36,7 @@ from ..network.link import FlowLink
 from ..network.scenarios import SCENARIOS
 from ..obs import PHASE_KINDS, Observability
 from ..offload.request import OffloadRequest
-from ..platform import ClusterPlatform, PredictiveConfig, RattrapPlatform
+from ..platform import ClusterPlatform, RattrapPlatform
 from ..sim import Environment
 from ..workloads import VIRUS_SCAN
 
@@ -56,21 +55,6 @@ ACCESS_POINTS = 64
 ARRIVAL_RATE_S = 10.0
 #: every clone scans against the same signature database; requests
 #: inherit the digest from ``VIRUS_SCAN.payload_key`` automatically
-
-#: --predictive comparison: arrival waves separated by more than the
-#: idle-reaper timeout, so the reactive cluster pays a fresh cold-boot
-#: stall on every wave while the predictor's warm pool rides the gap.
-#: The wave rate is gentler than the ramp's so the response tail is
-#: boot-stall-bound (the regime predictive scheduling targets), not
-#: CPU/AP-queueing-bound.
-#: Enough waves that the unavoidable wave-0 cold boots (no history to
-#: predict from) drop below the p99 rank — the recurring per-wave
-#: stalls, which the pool eliminates, are what the p99 then measures.
-WAVES = 8
-WAVE_DEVICES = 80
-WAVE_GAP_S = 300.0
-WAVE_RATE_S = 4.0
-IDLE_TIMEOUT_S = 120.0
 
 
 def _scale_cell(devices: int, seed: int = 1) -> Dict[str, Any]:
@@ -145,94 +129,14 @@ def _scale_cell(devices: int, seed: int = 1) -> Dict[str, Any]:
     }
 
 
-def _predictive_cell(arm: str, seed: int = 1) -> Dict[str, Any]:
-    """One comparison arm: wave-structured VirusScan traffic.
-
-    ``arm`` is ``"reactive"`` (the status quo: dispatch reacts to each
-    arrival, the idle reaper stops warm runtimes between waves) or
-    ``"predictive"`` (warm-pool predictor enabled per node).  Both arms
-    replay the identical inflow with the identical reaper.
-    """
-    env = Environment()
-    cluster = ClusterPlatform(
-        env,
-        servers=SERVERS,
-        policy="device-sticky",
-        platform_factory=lambda e: RattrapPlatform(
-            e, optimized=True, dispatch_policy="app-affinity"
-        ),
-    )
-    cluster.start_idle_reaper(IDLE_TIMEOUT_S)
-    if arm == "predictive":
-        cluster.enable_predictive(PredictiveConfig(hold_s=2 * WAVES * WAVE_GAP_S))
-        cluster.start_predictors()
-    params = SCENARIOS["lan-wifi"]
-    aps = [
-        FlowLink(f"ap-{i}", rng=np.random.default_rng((seed, i)), **params)
-        for i in range(ACCESS_POINTS)
-    ]
-    requests = [
-        OffloadRequest(
-            request_id=wave * WAVE_DEVICES + d,
-            device_id=f"dev-{d}",
-            app_id=VIRUS_SCAN.name,
-            profile=VIRUS_SCAN,
-            seq_on_device=wave,
-            submitted_at=wave * WAVE_GAP_S + d / WAVE_RATE_S,
-        )
-        for wave in range(WAVES)
-        for d in range(WAVE_DEVICES)
-    ]
-
-    def feeder(env):
-        procs = []
-        for i, request in enumerate(requests):
-            if request.submitted_at > env.now:
-                yield env.timeout(request.submitted_at - env.now)
-            procs.append(cluster.submit(request, aps[i % ACCESS_POINTS]))
-        yield env.all_of(procs)
-
-    env.run(until=env.process(feeder(env)))
-    completed = cluster.completed()
-    rts = sorted(r.response_time for r in completed)
-
-    def q(p: float) -> float:
-        return rts[max(1, math.ceil(len(rts) * p)) - 1]
-
-    nodes = [n.dispatcher for n in cluster.nodes]
-    return {
-        "arm": arm,
-        "completed": len(completed),
-        "cold_boots": sum(d.cold_boots for d in nodes),
-        "boot_stalls": sum(d.boot_stalls for d in nodes),
-        "warmable_stalls": sum(d.warmable_stalls for d in nodes),
-        "preboots": sum(d.preboots for d in nodes),
-        "preboot_hits": sum(d.preboot_hits for d in nodes),
-        "pool_drained": sum(d.pool_drained for d in nodes),
-        "mean_s": sum(rts) / len(rts),
-        "p50_s": q(0.50),
-        "p99_s": q(0.99),
-    }
-
-
-def cells(seed: int = 1, predictive: bool = False, smoke: bool = False) -> list:
-    """One cell per ramp step, or one per comparison arm.
+def cells(seed: int = 1, smoke: bool = False) -> list:
+    """One cell per ramp step.
 
     ``smoke=True`` truncates the ramp to :data:`SMOKE_STEPS` — the
     cheap variant CI and the fresh-baseline measurement use.
     """
     from .engine import Cell
 
-    if predictive:
-        return [
-            Cell(
-                experiment="scale",
-                key=(arm,),
-                fn=_predictive_cell,
-                kwargs={"arm": arm, "seed": seed},
-            )
-            for arm in ("reactive", "predictive")
-        ]
     return [
         Cell(
             experiment="scale",
@@ -244,30 +148,24 @@ def cells(seed: int = 1, predictive: bool = False, smoke: bool = False) -> list:
     ]
 
 
-def merge(cell_list: list, values: List[Any]) -> Dict[Any, Dict[str, Any]]:
-    """Reassemble data[devices (or arm)] = metrics in cell order."""
+def merge(cell_list: list, values: List[Any]) -> Dict[int, Dict[str, Any]]:
+    """Reassemble data[devices] = metrics in cell order."""
     return {cell.key[0]: value for cell, value in zip(cell_list, values)}
 
 
-def run(
-    seed: int = 1, jobs: int = 0, predictive: bool = False, smoke: bool = False
-) -> Dict[Any, Dict[str, Any]]:
+def run(seed: int = 1, jobs: int = 0, smoke: bool = False) -> Dict[int, Dict[str, Any]]:
     """Run the whole ramp (serially by default: RSS is per-process).
 
-    ``predictive=True`` runs the reactive-vs-predictive warm-pool
-    comparison instead of the device ramp; ``smoke=True`` truncates
-    the ramp to :data:`SMOKE_STEPS`.
+    ``smoke=True`` truncates the ramp to :data:`SMOKE_STEPS`.
     """
     from .engine import run_cells
 
-    cs = cells(seed=seed, predictive=predictive, smoke=smoke)
+    cs = cells(seed=seed, smoke=smoke)
     return merge(cs, run_cells(cs, jobs=jobs))
 
 
-def report(data: Dict[Any, Dict[str, Any]]) -> str:
+def report(data: Dict[int, Dict[str, Any]]) -> str:
     """Render the ramp table plus the 10k-device headline."""
-    if "reactive" in data:
-        return _predictive_report(data)
     rows = []
     for devices, m in data.items():
         rows.append(
@@ -339,55 +237,6 @@ def _phase_report(top: Dict[str, Any]) -> str:
         f"\n\nphase spans cover {coverage:.2f}% of {e2e:.1f}s summed "
         f"end-to-end latency (target: within 1%); "
         f"warehouse hit rate {100.0 * top['warehouse_hit_rate']:.1f}%"
-    )
-
-
-def _predictive_report(data: Dict[Any, Dict[str, Any]]) -> str:
-    """Reactive-vs-predictive table plus the stall-elimination headline."""
-    rows = []
-    for arm in ("reactive", "predictive"):
-        m = data[arm]
-        rows.append(
-            [
-                arm,
-                f"{m['completed']}",
-                f"{m['cold_boots']}",
-                f"{m['boot_stalls']}",
-                f"{m['warmable_stalls']}",
-                f"{m['preboots']}",
-                f"{m['pool_drained']}",
-                f"{m['p50_s']:.2f}",
-                f"{m['p99_s']:.2f}",
-            ]
-        )
-    table = render_table(
-        [
-            "arm",
-            "served",
-            "cold boots",
-            "boot stalls",
-            "warmable",
-            "preboots",
-            "drained",
-            "p50 (s)",
-            "p99 (s)",
-        ],
-        rows,
-        title=(
-            f"Predictive warm-pool comparison — {WAVES} waves x "
-            f"{WAVE_DEVICES} devices, {WAVE_GAP_S:.0f}s apart "
-            f"(reaper {IDLE_TIMEOUT_S:.0f}s)"
-        ),
-    )
-    react, pred = data["reactive"], data["predictive"]
-    eliminated = react["warmable_stalls"] - pred["warmable_stalls"]
-    share = 100.0 * eliminated / react["warmable_stalls"] if react["warmable_stalls"] else 0.0
-    return table + (
-        f"\n\npredictive scheduling eliminated {eliminated} of "
-        f"{react['warmable_stalls']} warm-capable cold-boot stalls "
-        f"({share:.0f}%; target >= 80%); "
-        f"p99 response {react['p99_s']:.2f}s -> {pred['p99_s']:.2f}s, "
-        f"p50 {react['p50_s']:.2f}s -> {pred['p50_s']:.2f}s"
     )
 
 

@@ -80,11 +80,11 @@ class FluidChannel:
         flows — so opening more concurrent flows buys a hog nothing.
         Untagged flows count as singleton tenants of weight 1.
         """
-        tenancy = getattr(self.env, "tenancy", None)
+        tenancy = self.env.tenancy
         if tenancy is None:
             return None
         cfg = tenancy.cfg
-        if not (cfg.enforce and cfg.per_tenant_airtime):
+        if not cfg.enforce:
             return None
         flows = self._flows
         if not any(f.tenant for f in flows):
@@ -138,7 +138,7 @@ class FluidChannel:
                 n = len(self._flows)
                 for f in self._flows:
                     f.remaining -= dt * f.bps / n
-                tenancy = getattr(self.env, "tenancy", None)
+                tenancy = self.env.tenancy
                 if tenancy is not None:
                     for f in self._flows:
                         if f.tenant:

@@ -134,7 +134,7 @@ def replay(
         expiry = env.timeout(budget) if budget is not None else None
         attempts = 1 if retry is None else retry.max_attempts
         for attempt in range(1, attempts + 1):
-            faults = getattr(env, "faults", None) if retry is not None else None
+            faults = env.faults if retry is not None else None
             if faults is None or not faults.link_down(device_id):
                 proc = target.submit(request, device.link)
                 try:

@@ -21,7 +21,7 @@ from ..offload.messages import KB, upload_messages, result_message
 from ..offload.request import OffloadRequest, Phase, PhaseTimeline, RequestResult
 from ..runtime.base import RuntimeEnvironment, RuntimeState
 from .access import AccessDecision
-from .compute_cache import ComputeCacheConfig, ComputeResultCache
+from .compute_cache import HIT_S, ComputeCacheConfig, ComputeResultCache
 from .container_db import ContainerDB, ContainerRecord
 from .dispatcher import Dispatcher
 from .scheduler import MonitorScheduler, PredictiveConfig, WarmPoolPredictor
@@ -129,8 +129,7 @@ class CloudPlatform:
         self.predictor = WarmPoolPredictor(self, config)
         self.dispatcher._pool_factory = self._make_pool_runtime_guarded
         cfg = self.predictor.cfg
-        if cfg.tail_aware:
-            self.scheduler.tail_ranking = True
+        self.scheduler.tail_ranking = True
         # Multi-tenant guardrails live on the dispatcher (it owns the
         # pool); copied from the config so one object configures both.
         self.dispatcher.pool_capacity = cfg.pool_capacity
@@ -157,7 +156,7 @@ class CloudPlatform:
         self.compute_cache = ComputeResultCache(config).bind_env(self.env)
         return self.compute_cache
 
-    def on_request_failed(self, request: OffloadRequest, exc: BaseException) -> None:
+    def on_request_failed(self, request: OffloadRequest, exc: Exception) -> None:
         """An in-flight request died (fault injection, interruption).
 
         Platform-specific cleanup hook; Rattrap uses it to release the
@@ -323,8 +322,7 @@ class CloudPlatform:
                 with trace_span(
                     env, "cache_hit", who=record.cid, trace=request.trace_id
                 ):
-                    if cache.cfg.hit_s:
-                        yield env.timeout(cache.cfg.hit_s)
+                    yield env.timeout(HIT_S)
                 # A hit still binds the session: attaching to the
                 # container loads the app environment, so the runtime
                 # stays the app's affinity target for later requests
@@ -354,7 +352,9 @@ class CloudPlatform:
             timeline.add(Phase.TRANSFER, env.now - t0)
 
             self.after_execution(request, runtime)
-        except BaseException as exc:
+        except Exception as exc:
+            # Every simulated fault is an Exception; GeneratorExit (a
+            # suspended serve being closed) is not a request failure.
             metrics = metrics_of(env)
             if metrics is not None:
                 metrics.counter("platform.request_failures").inc()

@@ -69,6 +69,12 @@ MB = 1024 * 1024
 #: cache key: (app_id, code_version, payload_digest)
 Key = Tuple[str, str, str]
 
+#: simulated latency of serving a hit (result lookup + copy)
+HIT_S = 0.002
+#: residency cost in CPU-seconds per MB-resident; the cost-aware
+#: admission test is ``execute_s * repeat_p >= RESIDENCY_COST_S_PER_MB * MBs``
+RESIDENCY_COST_S_PER_MB = 0.05
+
 
 @dataclass(frozen=True)
 class ComputeCacheConfig:
@@ -76,16 +82,11 @@ class ComputeCacheConfig:
 
     #: byte budget for resident results (LRU evicts past it)
     capacity_bytes: float = 64 * MB
-    #: simulated latency of serving a hit (result lookup + copy)
-    hit_s: float = 0.002
     #: cost-aware admission: only cache when the expected saved compute
     #: beats the residency cost (False = admit everything, test mode)
     adaptive: bool = True
     #: EWMA smoothing for the per-app repeat-probability estimate
     repeat_alpha: float = 0.3
-    #: residency cost in CPU-seconds per MB-resident; the admission
-    #: test is ``execute_s * repeat_p >= residency_cost_s_per_mb * MBs``
-    residency_cost_s_per_mb: float = 0.05
     #: bound on the ghost list of recently seen keys
     ghost_entries: int = 4096
     #: bound on the per-node mirror of remotely fetched hot entries
@@ -94,12 +95,8 @@ class ComputeCacheConfig:
     def __post_init__(self):
         if self.capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        if self.hit_s < 0:
-            raise ValueError("hit_s must be >= 0")
         if not (0.0 < self.repeat_alpha <= 1.0):
             raise ValueError("repeat_alpha must be in (0, 1]")
-        if self.residency_cost_s_per_mb < 0:
-            raise ValueError("residency_cost_s_per_mb must be >= 0")
         if self.ghost_entries < 1 or self.mirror_entries < 0:
             raise ValueError("ghost_entries >= 1 and mirror_entries >= 0 required")
 
@@ -277,7 +274,7 @@ class ComputeResultCache:
         if not self.cfg.adaptive:
             return True
         expected_saving = execute_s * self.repeat_probability(request.app_id)
-        residency_cost = self.cfg.residency_cost_s_per_mb * (nbytes / MB)
+        residency_cost = RESIDENCY_COST_S_PER_MB * (nbytes / MB)
         return expected_saving >= residency_cost
 
     # -- store ----------------------------------------------------------------

@@ -50,6 +50,9 @@ PoolRuntimeFactory = Callable[[str, str], RuntimeEnvironment]
 class Dispatcher:
     """Runtime allocation with cold-boot coordination."""
 
+    #: simulated latency of handing a request to an already-READY runtime
+    warm_dispatch_s = 0.002
+
     def __init__(
         self,
         env: "Environment",
@@ -58,19 +61,15 @@ class Dispatcher:
         runtime_factory: RuntimeFactory,
         policy: str = "per-device",
         warehouse: Optional[AppWarehouse] = None,
-        warm_dispatch_s: float = 0.002,
     ):
         if policy not in ("per-device", "app-affinity"):
             raise ValueError(f"unknown dispatch policy {policy!r}")
-        if warm_dispatch_s < 0:
-            raise ValueError("warm_dispatch_s must be >= 0")
         self.env = env
         self.db = db
         self.scheduler = scheduler
         self.runtime_factory = runtime_factory
         self.policy = policy
         self.warehouse = warehouse
-        self.warm_dispatch_s = warm_dispatch_s
         #: pending cold boots keyed by allocation key
         self._boots: Dict[str, "Event"] = {}
         #: most recent runtime record booted per allocation key — lets a
@@ -397,7 +396,7 @@ class Dispatcher:
 
     def _note_pool(self, app_id: str) -> None:
         """Report the app's warm-slot count to the tenancy ledger."""
-        tenancy = getattr(self.env, "tenancy", None)
+        tenancy = self.env.tenancy
         if tenancy is not None:
             tenancy.pool_set(
                 app_id,

@@ -136,7 +136,7 @@ class RattrapPlatform(CloudPlatform):
         if pending is not None:
             pending.succeed()
 
-    def on_request_failed(self, request: OffloadRequest, exc: BaseException) -> None:
+    def on_request_failed(self, request: OffloadRequest, exc: Exception) -> None:
         """Release a dead request's code-upload reservation.
 
         If the request carrying an app's code dies mid-flight, every

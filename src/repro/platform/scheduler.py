@@ -42,6 +42,14 @@ __all__ = [
 
 #: EWMA smoothing applied to each runtime's response p95
 TAIL_GAMMA = 0.2
+#: safety multiplier on the expected arrivals-per-boot-window
+HEADROOM = 1.5
+#: drain the pool once expected arrivals-per-boot-window falls below
+#: this (and the hold window has lapsed) — the low edge of the
+#: hysteresis band; the high edge is any positive demand
+LOW_WATERMARK = 0.05
+#: samples of the dispatcher's pending cold boots kept for the trend boost
+TREND_WINDOW = 5
 
 
 class MonitorScheduler:
@@ -194,25 +202,14 @@ class PredictiveConfig:
     tick_s: float = 1.0
     #: EWMA smoothing per tick for the arrival-rate estimate
     alpha: float = 0.2
-    #: safety multiplier on the expected arrivals-per-boot-window
-    headroom: float = 1.5
     #: per-app ceiling on warm spares + in-flight pre-boots
     max_pool: int = 4
     #: keep at least one spare warm this long after the app's last
     #: arrival, even once the rate estimate has decayed to ~0 — the
     #: knob that lets session-structured traces land warm
     hold_s: float = 300.0
-    #: drain the pool once expected arrivals-per-boot-window falls
-    #: below this (and the hold window has lapsed) — the low edge of
-    #: the hysteresis band; the high edge is any positive demand
-    low_watermark: float = 0.05
     #: consecutive surplus ticks required before draining one spare
     drain_ticks: int = 3
-    #: rank warm candidates by decayed per-runtime response p95
-    tail_aware: bool = True
-    #: samples of the dispatcher's pending cold boots kept for the
-    #: trend boost
-    trend_window: int = 5
     #: node-wide cap on warm slots across all apps (spares + in-flight
     #: pre-boots); None = unbounded.  The multi-tenant guardrail: a
     #: squatter inflating its own forecast cannot grow the pool past it
@@ -242,7 +239,7 @@ class WarmPoolPredictor:
         self.rates = ArrivalRateEWMA(self.cfg.alpha, self.cfg.tick_s)
         self._last_arrival: Dict[str, float] = {}
         self._surplus_ticks: Dict[str, int] = {}
-        self._pending_samples: Deque[int] = deque(maxlen=self.cfg.trend_window)
+        self._pending_samples: Deque[int] = deque(maxlen=TREND_WINDOW)
         self._boot_s: Optional[float] = None
         self.ticks = 0
         self.drains = 0
@@ -283,12 +280,12 @@ class WarmPoolPredictor:
         """Warm runtimes the forecast wants for an app right now."""
         cfg = self.cfg
         floor = self.platform.dispatcher.pool_floors.get(app_id, 0)
-        demand = self.rates.rate(app_id) * self.boot_estimate_s() * cfg.headroom
+        demand = self.rates.rate(app_id) * self.boot_estimate_s() * HEADROOM
         held = (
             app_id in self._last_arrival
             and self.platform.env.now - self._last_arrival[app_id] <= cfg.hold_s
         )
-        if demand < cfg.low_watermark and not held:
+        if demand < LOW_WATERMARK and not held:
             # A reservation floor keeps its owner warm even after the
             # demand estimate decays — that is the guarantee.
             return min(floor, cfg.max_pool)

@@ -77,9 +77,6 @@ class TenancyConfig:
 
     #: apply countermeasures (False = account only)
     enforce: bool = True
-    #: split shared-medium airtime per *tenant* instead of per flow, so
-    #: opening more concurrent flows buys an attacker nothing
-    per_tenant_airtime: bool = True
     #: hard cap on any one tenant's airtime fraction of a shared medium
     #: (None = weighted fair share only)
     airtime_cap: Optional[float] = None

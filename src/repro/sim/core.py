@@ -63,7 +63,7 @@ class Environment:
         #: recycled Timeout instances (see the run-loop refcount check)
         self._timeout_pool: List[Timeout] = []
         #: the attached FaultInjector, if any (set by repro.faults);
-        #: clients probe it for link blackouts via duck typing
+        #: the retrying client probes its link_down() before each attempt
         self.faults: Optional[Any] = None
         #: the attached Observability (tracer + metrics registry), if
         #: any — None keeps every instrumentation site on its fast path

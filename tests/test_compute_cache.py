@@ -18,6 +18,7 @@ from repro.offload import Phase
 from repro.offload.request import OffloadRequest
 from repro.platform import RattrapPlatform, TenancyManager
 from repro.platform.compute_cache import (
+    HIT_S,
     ClusterCacheDirectory,
     ComputeCacheConfig,
     ComputeResultCache,
@@ -195,9 +196,7 @@ def test_serve_path_hit_skips_execute_and_spans_still_tile():
     r2 = _serve(plat, OffloadRequest(1, "d1", "scan", VIRUS_SCAN))
     assert not r1.result_cache_hit and r2.result_cache_hit
     # The hit's whole execution phase is the constant cache-serve cost.
-    assert r2.phase(Phase.EXECUTION) == pytest.approx(
-        plat.compute_cache.cfg.hit_s
-    )
+    assert r2.phase(Phase.EXECUTION) == pytest.approx(HIT_S)
     assert r2.response_time < r1.response_time
     # Phase spans — with "cache_hit" standing in for "execute" — still
     # tile the two responses exactly.

@@ -16,9 +16,6 @@ def test_dispatcher_validation():
     plat = RattrapPlatform(env)
     with pytest.raises(ValueError):
         Dispatcher(env, plat.db, plat.scheduler, plat.make_runtime, policy="random")
-    with pytest.raises(ValueError):
-        Dispatcher(env, plat.db, plat.scheduler, plat.make_runtime,
-                   warm_dispatch_s=-1)
 
 
 def test_per_device_policy_one_runtime_per_device():

@@ -265,6 +265,33 @@ def test_request_failure_counter():
     assert all(not s.open for s in obs.tracer.spans)
 
 
+def test_closing_a_suspended_serve_is_not_a_failure():
+    # Closing a suspended serve generator (as interpreter exit does)
+    # raises GeneratorExit inside it: that is no request failure, but
+    # the finally bookkeeping must still release the runtime.
+    env = Environment()
+    obs = Observability(env)
+    plat = RattrapPlatform(env, optimized=True)
+    failed = []
+    plat.on_request_failed = lambda request, exc: failed.append(exc)
+    req = OffloadRequest(request_id=0, device_id="d0", app_id="chess",
+                         profile=CHESS_GAME)
+    proc = plat.submit(req, make_link("lan-wifi"))
+
+    def until_uploading(env):
+        while not plat._inflight:
+            yield env.timeout(0.05)
+
+    env.run(until=env.process(until_uploading(env)))
+    assert plat.scheduler.active_requests == 1
+    proc._generator.close()
+    assert failed == []
+    assert "platform.request_failures" not in obs.metrics.snapshot()["counters"]
+    assert plat._inflight == {}
+    assert plat.scheduler.active_requests == 0
+    assert plat.db.get("cid-1").active_requests == 0
+
+
 # --------------------------------------------------------------- auto-attach
 def test_enable_auto_attaches_and_drains():
     try:

@@ -377,3 +377,21 @@ def test_cluster_predictors_sample_only_their_own_boots():
     samples = [list(node.predictor._pending_samples) for node in cluster.nodes]
     assert [n.dispatcher.pending_boots() for n in cluster.nodes] == [1, 3]
     assert samples == [[1], [3]]
+
+
+def test_predictive_experiment_ab_in_both_scenarios():
+    """The opt-in A/B: in each scenario both arms serve the same inflow,
+    and the predictor removes at least 80 % of the warm-capable stalls."""
+    from repro.experiments import predictive
+
+    data = predictive.run()
+    assert sorted(data) == sorted(predictive.SCENARIOS)
+    for scenario in predictive.SCENARIOS:
+        react, pred = data[scenario]["reactive"], data[scenario]["predictive"]
+        assert react["served"] == pred["served"] > 0
+        assert react["warmable_stalls"] > 0
+        assert pred["warmable_stalls"] <= 0.2 * react["warmable_stalls"]
+    text = predictive.report(data)
+    for scenario in predictive.SCENARIOS:
+        assert f"\n{scenario} (" in text
+    assert text.count("warm-capable cold-boot stalls") == 2
