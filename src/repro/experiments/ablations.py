@@ -50,7 +50,6 @@ def _ablate_cache() -> Dict[str, float]:
     def no_cache(env):
         p = RattrapPlatform(env)
         p.warehouse = None
-        p.dispatcher.warehouse = None
         return p
 
     _, ablated = _standard_run(no_cache, CHESS_GAME)

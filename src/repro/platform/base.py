@@ -19,7 +19,7 @@ from ..obs import metrics_of, trace_span
 from ..network.transfer import TransferLog, send_messages
 from ..offload.messages import KB, upload_messages, result_message
 from ..offload.request import OffloadRequest, Phase, PhaseTimeline, RequestResult
-from ..runtime.base import RuntimeEnvironment, RuntimeState
+from ..runtime.base import RuntimeEnvironment
 from .access import AccessDecision
 from .compute_cache import HIT_S, ComputeCacheConfig, ComputeResultCache
 from .container_db import ContainerDB, ContainerRecord
@@ -54,7 +54,6 @@ class CloudPlatform:
             self.scheduler,
             runtime_factory=self._make_runtime_guarded,
             policy=dispatch_policy,
-            warehouse=self.warehouse_or_none(),
         )
         self.transfer_log = TransferLog()
         self.results: List[RequestResult] = []
@@ -457,7 +456,7 @@ class CloudPlatform:
         """Runtime-preparation estimate the platform advertises to
         clients (drives the offload decider's cost model)."""
         key = self.dispatcher.allocation_key(request)
-        record = self.dispatcher._record_for_key(key)
+        record = self.dispatcher.record_for_key(key)
         if record is not None and record.runtime.is_ready:
             return self.dispatcher.warm_dispatch_s
         probe = self.make_runtime("probe", request)
@@ -469,7 +468,7 @@ class CloudPlatform:
         if wh is not None:
             return wh.has_code(request.app_id)
         key = self.dispatcher.allocation_key(request)
-        record = self.dispatcher._record_for_key(key)
+        record = self.dispatcher.record_for_key(key)
         return record is not None and record.runtime.has_app(request.app_id)
 
     def expected_queueing_s(self, request: OffloadRequest) -> float:
@@ -520,24 +519,24 @@ class CloudPlatform:
         requests executing inside it (so clients can retry).  Returns
         True when a live runtime was actually killed.
         """
-        if not self.db.exists(cid):
+        if not self.db.exists(cid) or not self._kill(self.db.get(cid), reason):
             return False
-        record = self.db.get(cid)
-        state = record.runtime.state
-        if state is RuntimeState.BOOTING:
-            boot = self.dispatcher.boot_process_for(record)
-            record.runtime.crash(reason)
-            if boot is not None and boot.is_alive and boot.target is not None:
-                boot.interrupt(RuntimeCrashed(cid, reason))
-            return True
-        if state is RuntimeState.READY:
-            record.runtime.crash(reason)
-            exc = RuntimeCrashed(cid, reason)
-            for _request, proc in list(self._inflight.get(cid, ())):
-                if proc.is_alive and proc.target is not None:
-                    proc.interrupt(exc)
-            return True
-        return False
+        exc = RuntimeCrashed(cid, reason)
+        for _request, proc in list(self._inflight.get(cid, ())):
+            if proc.is_alive and proc.target is not None:
+                proc.interrupt(exc)
+        return True
+
+    def _kill(self, record: ContainerRecord, reason: str) -> bool:
+        """Crash one live runtime; a booting one's boot process is
+        interrupted so the dispatcher's waiters re-acquire.  Returns
+        False when the runtime was not live."""
+        if not record.runtime.crash(reason):
+            return False
+        boot = record.boot
+        if boot is not None and boot.is_alive and boot.target is not None:
+            boot.interrupt(RuntimeCrashed(record.cid, reason))
+        return True
 
     def interrupt_inflight(
         self,
@@ -569,14 +568,7 @@ class CloudPlatform:
             return
         self.offline = True
         for record in self.db.all_records():
-            state = record.runtime.state
-            if state is RuntimeState.BOOTING:
-                boot = self.dispatcher.boot_process_for(record)
-                record.runtime.crash(reason)
-                if boot is not None and boot.is_alive and boot.target is not None:
-                    boot.interrupt(RuntimeCrashed(record.cid, reason))
-            elif state is RuntimeState.READY:
-                record.runtime.crash(reason)
+            self._kill(record, reason)
         exc = NodeDown(self.name, reason)
         for entries in list(self._inflight.values()):
             for _request, proc in list(entries):

@@ -8,10 +8,13 @@ Monitor & Scheduler updates its load figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..runtime.base import RuntimeEnvironment, RuntimeState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.process import Process
 
 __all__ = ["ContainerRecord", "ContainerDB"]
 
@@ -29,6 +32,8 @@ class ContainerRecord:
     total_requests: int = 0
     #: completion time of the most recent request (idle-reaping input)
     last_used: float = 0.0
+    #: the dispatcher's in-flight boot process; None once it settles
+    boot: Optional["Process"] = field(default=None, compare=False, repr=False)
 
     @property
     def state(self) -> RuntimeState:

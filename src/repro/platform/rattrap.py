@@ -61,8 +61,6 @@ class RattrapPlatform(CloudPlatform):
     ):
         self.optimized = optimized
         self.name = "rattrap" if optimized else "rattrap-wo"
-        # The warehouse must exist before CloudPlatform wires the
-        # dispatcher (warehouse_or_none is consulted in __init__).
         self.warehouse: Optional[AppWarehouse] = (
             AppWarehouse().bind_env(env) if optimized else None
         )

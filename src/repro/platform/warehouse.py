@@ -152,7 +152,7 @@ class AppWarehouse:
             metrics.counter("warehouse.evicted").inc()
             metrics.gauge("warehouse.code_bytes").set(self.total_code_bytes())
 
-    # -- CID mapping (dispatcher affinity) ---------------------------------------------
+    # -- CID mapping (cache table; dispatch reads the Container DB) --------------------
     def register_execution(self, app_id: str, cid: str) -> None:
         """Record that container ``cid`` has loaded/executed this code."""
         entry = self._by_aid.get(app_id)
@@ -161,7 +161,7 @@ class AppWarehouse:
         entry.cids.add(cid)
 
     def containers_for(self, app_id: str) -> List[str]:
-        """CIDs that have executed this app's code (dispatch affinity)."""
+        """CIDs that have executed this app's code (the cache table's CID column)."""
         entry = self._by_aid.get(app_id)
         return sorted(entry.cids) if entry else []
 

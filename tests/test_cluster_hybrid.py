@@ -141,6 +141,20 @@ def test_platform_estimates_cold_then_warm():
     assert platform.code_cached(request)
 
 
+def test_platform_queueing_estimate_under_cpu_contention():
+    """Past the core count, the estimate is the GPS stretch of the work."""
+    env = Environment()
+    platform = RattrapPlatform(env)
+    request = generate_inflow(CHESS_GAME, devices=1, requests_per_device=1, seed=0)[0].request
+    env.run(until=platform.submit(request, make_link("lan-wifi")))
+    assert platform.expected_queueing_s(request) == 0.0
+    cores = platform.server.spec.cores
+    for _ in range(cores):  # one more request would make cores + 1
+        platform.scheduler.request_started("cid-1")
+    work_s = CHESS_GAME.cloud_cpu_s * request.work_scale + CHESS_GAME.framework_overhead_s
+    assert platform.expected_queueing_s(request) == pytest.approx(work_s / cores)
+
+
 def test_vm_platform_estimates():
     env = Environment()
     platform = VMCloudPlatform(env)

@@ -435,7 +435,6 @@ def test_warehouse_eviction_forces_reupload_end_to_end():
     plat = RattrapPlatform(env)
     # Tiny warehouse: ChessGame's 2.1 MB code fits, nothing else with it.
     plat.warehouse = AppWarehouse(capacity_bytes=3 * 1024 * 1024)
-    plat.dispatcher.warehouse = plat.warehouse
     link = make_link("lan-wifi")
     r1 = env.run(until=plat.submit(OffloadRequest(0, "d0", "chess", CHESS_GAME), link))
     assert not r1.code_cache_hit

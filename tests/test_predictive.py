@@ -213,8 +213,10 @@ def test_default_platform_pays_zero_predictive_cost():
 
 
 # ----------------------------------------------------------- warm dispatch
-def test_requests_land_on_prebooted_spare():
-    """After the pool warms, a later wave dispatches without a stall."""
+def test_late_request_lands_warm_via_retention():
+    """A request after the reaper window dispatches without a stall: the
+    predictor's reaper protection keeps the first runtime (``cid-1``)
+    warm, and dispatch prefers it over the pre-booted spares."""
     env = Environment()
     cfg = PredictiveConfig(hold_s=1000.0)
     plat = _platform(env, config=cfg)
@@ -255,6 +257,65 @@ def test_preboot_riders_share_one_boot():
     assert plat.dispatcher.cold_boots == 0
     assert r1.executed_on == r2.executed_on
     assert plat.dispatcher.preboot_hits >= 1
+
+
+def _pool_platform(env):
+    """Predictive platform whose pool moves only when a test pre-boots."""
+    plat = RattrapPlatform(env, optimized=True, dispatch_policy="app-affinity")
+    plat.enable_predictive()
+    return plat
+
+
+def test_request_takes_settled_spare():
+    env = Environment()
+    plat = _pool_platform(env)
+    spare = plat.dispatcher.preboot("chess")
+    env.run(until=10.0)
+    assert spare.runtime.is_ready
+    r = env.run(until=plat.submit(_request(0, at=env.now), make_link("lan-wifi")))
+    d = plat.dispatcher
+    assert r.executed_on == spare.cid
+    assert (d.preboot_hits, d.cold_boots, d.boot_stalls) == (1, 0, 0)
+    assert d.pool_spares("chess") == 0
+
+
+def test_riders_reacquire_when_preboot_crashes():
+    """Requests riding a pre-boot that dies cold-boot one runtime."""
+    env = Environment()
+    plat = _pool_platform(env)
+    link = make_link("lan-wifi")
+    spare = plat.dispatcher.preboot("chess")
+    p1 = plat.submit(_request(0, device="d0"), link)
+    p2 = plat.submit(_request(1, device="d1"), link)
+    env.run(until=0.5)
+    assert plat.crash_runtime(spare.cid)
+    r1 = env.run(until=p1)
+    r2 = env.run(until=p2)
+    d = plat.dispatcher
+    assert r1.executed_on == r2.executed_on == "cid-2"
+    assert (d.cold_boots, d.preboot_hits, d.boot_stalls) == (1, 0, 4)
+    assert [r.cid for r in plat.db.all_records()] == ["cid-2"]
+
+
+def test_preboot_refused_while_offline():
+    env = Environment()
+    plat = _pool_platform(env)
+    plat.fail_node()
+    assert plat.dispatcher.preboot("chess") is None
+    assert plat.dispatcher.preboots == 0
+
+
+def test_preboot_propagates_factory_bugs():
+    """Only the offline refusal reads as "no spare"; a bug is loud."""
+    env = Environment()
+    plat = _pool_platform(env)
+
+    def broken(cid, app_id):
+        raise TypeError("factory bug")
+
+    plat.dispatcher._pool_factory = broken
+    with pytest.raises(TypeError, match="factory bug"):
+        plat.dispatcher.preboot("chess")
 
 
 # ----------------------------------------------------------- FIFO waiters
