@@ -41,7 +41,6 @@ def test_bench_ablation_code_cache(benchmark):
         def no_cache(env):
             p = RattrapPlatform(env, optimized=True)
             p.warehouse = None  # ablate the code cache alone
-            p.dispatcher.warehouse = None
             return p
 
         ablated, ablated_res = _run(no_cache, CHESS_GAME)

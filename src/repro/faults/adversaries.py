@@ -233,7 +233,7 @@ class ResidencySquatter(Adversary):
     def run(self, env: "Environment", injector: "FaultInjector") -> Generator:
         """Leak one unique payload into tmpfs per interval."""
         node = injector.node(self.node_index)
-        shared = getattr(node, "shared_layer", None)
+        shared = node.shared_layer
         if shared is None:
             return
         io = shared.offload_io
@@ -292,7 +292,7 @@ class CacheSquatter(Adversary):
     def run(self, env: "Environment", injector: "FaultInjector") -> Generator:
         """Ghost-prime then offer one forged digest per interval."""
         node = injector.node(self.node_index)
-        cache = getattr(node, "compute_cache", None)
+        cache = node.compute_cache
         if cache is None:
             return
         i = 0
@@ -359,7 +359,7 @@ class WarmPoolSquatter(Adversary):
         node = injector.node(self.node_index)
         end = yield from self._window(env)
         while env.now < end:
-            predictor = getattr(node, "predictor", None)
+            predictor = node.predictor
             if predictor is not None:
                 predictor.observe_aggregate(self.app_id, self.phantom_per_tick)
                 self.actions += 1

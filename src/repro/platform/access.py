@@ -25,7 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Generator, List, Mapping, Optional
+
+from ..obs import metrics_of
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..offload.request import OffloadRequest
+    from ..runtime.base import RuntimeEnvironment
 
 __all__ = ["PermissionTable", "AccessDecision", "RequestAccessController"]
 
@@ -39,6 +45,11 @@ KNOWN_PERMISSIONS = frozenset(
         "warehouse.fetch",
         "binder.call",
     }
+)
+
+#: Permissions granted to a request that declares none.
+DEFAULT_PERMISSIONS = frozenset(
+    {"cpu.execute", "fs.offload_read", "fs.offload_write", "net.outbound"}
 )
 
 #: Operations that are never granted to offloaded code.
@@ -189,19 +200,28 @@ class RequestAccessController:
         """True only for the first request of an app (shared table)."""
         return app_id not in self._tables
 
+    def admission_delay_s(self, app_id: str, now: float) -> float:
+        """Preparation time admission adds: the one-time request
+        analysis of a first-seen app plus any probation throttle."""
+        delay = self.analysis_time_s if self.analysis_needed(app_id) else 0.0
+        return delay + self.admission_penalty_s(app_id, now)
+
     def admit(
         self,
         app_id: str,
-        requested_permissions: FrozenSet[str] = frozenset(
-            {"cpu.execute", "fs.offload_read", "fs.offload_write", "net.outbound"}
-        ),
+        requested_permissions: Optional[FrozenSet[str]] = None,
         now: float = 0.0,
     ) -> AccessDecision:
-        """Admission check; generates the permission table on first sight."""
+        """Admission check; generates the permission table on first sight.
+
+        ``requested_permissions=None`` requests :data:`DEFAULT_PERMISSIONS`.
+        """
         if self.is_blocked(app_id, now):
             return AccessDecision(False, f"{app_id} exceeded violation threshold")
         if app_id not in self._tables:
             self.analyses += 1
+            if requested_permissions is None:
+                requested_permissions = DEFAULT_PERMISSIONS
             granted = frozenset(requested_permissions & KNOWN_PERMISSIONS)
             self._tables[app_id] = PermissionTable(
                 app_id=app_id, granted=granted, created_at=now
@@ -232,6 +252,49 @@ class RequestAccessController:
                 )
             return AccessDecision(False, f"operation {operation!r} denied")
         return AccessDecision(True)
+
+    def filter_workflow(
+        self, request: "OffloadRequest", runtime: "RuntimeEnvironment"
+    ) -> Generator:
+        """Run a request's declared workflow through the filter.
+
+        Every inspected operation costs ``filter_cost_s`` of CPU on the
+        runtime's host — the analysis engine is itself a shared
+        resource, which is what a permission-violation storm exploits
+        when blocking is disabled.  Violations land on the app's shared
+        table (and, when attached, the tenancy ledger); once the app
+        crosses its threshold the rest of the workflow is skipped.
+        Returns True when the app was blocked mid-workflow.
+        """
+        env = runtime.env
+        violations = 0
+        inspected = 0
+        blocked = False
+        for operation in request.operations:
+            inspected += 1
+            if self.filter_cost_s:
+                yield runtime.server.cpu.execute(
+                    self.filter_cost_s,
+                    speed_factor=runtime.cpu_speed_factor,
+                    tag="access.filter",
+                )
+            decision = self.filter_operation(request.app_id, operation, now=env.now)
+            if decision.allowed:
+                continue
+            violations += 1
+            if self.is_blocked(request.app_id, now=env.now):
+                blocked = True
+                break
+        tenancy = env.tenancy
+        if violations:
+            metrics = metrics_of(env)
+            if metrics is not None:
+                metrics.counter("access.violations").inc(violations)
+            if tenancy is not None:
+                tenancy.account_violations(request.app_id, violations)
+        if tenancy is not None and self.filter_cost_s and inspected:
+            tenancy.account_cpu(request.app_id, self.filter_cost_s * inspected)
+        return blocked
 
     def _record_violation(self, table: PermissionTable, now: float) -> None:
         table.violations += 1

@@ -3,14 +3,18 @@
 :class:`CloudPlatform` implements the end-to-end offloading protocol —
 connection, runtime preparation, data transfer, execution, result
 return — with the per-phase accounting of §III-B.  The three concrete
-platforms (VM cloud, Rattrap(W/O), Rattrap) differ only in the hooks:
-which runtime boots, where migrated data lands, and whether the code
-cache short-circuits uploads.
+platforms (VM cloud, Rattrap(W/O), Rattrap) differ in two things only:
+the runtime they boot (:meth:`CloudPlatform.make_runtime`), and which
+optional components they carry.  A component is an attribute that is
+either ``None`` or present, and the serve path calls it behind one
+``is not None`` check: the App Warehouse code cache, the Shared
+Resource Layer, the Request-based Access Controller, the compute
+result cache and the warm-pool predictor.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..faults.errors import NodeDown, RuntimeCrashed
 from ..hostos.server import CloudServer
@@ -20,11 +24,13 @@ from ..network.transfer import TransferLog, send_messages
 from ..offload.messages import KB, upload_messages, result_message
 from ..offload.request import OffloadRequest, Phase, PhaseTimeline, RequestResult
 from ..runtime.base import RuntimeEnvironment
-from .access import AccessDecision
+from .access import RequestAccessController
 from .compute_cache import HIT_S, ComputeCacheConfig, ComputeResultCache
 from .container_db import ContainerDB, ContainerRecord
 from .dispatcher import Dispatcher
 from .scheduler import MonitorScheduler, PredictiveConfig, WarmPoolPredictor
+from .shared_layer import SharedResourceLayer
+from .warehouse import AppWarehouse
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
@@ -52,7 +58,7 @@ class CloudPlatform:
             env,
             self.db,
             self.scheduler,
-            runtime_factory=self._make_runtime_guarded,
+            runtime_factory=self._online("make_runtime"),
             policy=dispatch_policy,
         )
         self.transfer_log = TransferLog()
@@ -71,26 +77,26 @@ class CloudPlatform:
         #: offloading frameworks hold their sockets open).
         self.keepalive_s: float = 0.0
         self._last_contact: Dict[str, float] = {}
+        # Optional components: each is None (detached, zero cost) or
+        # present; platform variants set them in their constructors.
+        #: App Warehouse code cache (None = every runtime receives the
+        #: app code over the network itself)
+        self.warehouse: Optional[AppWarehouse] = None
+        #: Shared Resource Layer (None = offload data lands in each
+        #: runtime's own storage and is never burned)
+        self.shared_layer: Optional[SharedResourceLayer] = None
+        #: Request-based Access Controller (None = admit everything,
+        #: no workflow filtering)
+        self.access: Optional[RequestAccessController] = None
         #: predictive warm-pool scheduling (None = reactive, zero cost)
         self.predictor: Optional[WarmPoolPredictor] = None
         #: content-addressed result cache (None = recompute, zero cost)
         self.compute_cache: Optional[ComputeResultCache] = None
 
-    # ------------------------------------------------------------------ hooks
+    # -------------------------------------------------------------- runtimes
     def make_runtime(self, cid: str, request: OffloadRequest) -> RuntimeEnvironment:
         """Create (not boot) the runtime environment for a cold request."""
         raise NotImplementedError
-
-    def _make_runtime_guarded(self, cid: str, request: OffloadRequest) -> RuntimeEnvironment:
-        """Dispatcher entry point: refuse boots while the node is down.
-
-        Raising here (synchronously, inside ``Dispatcher.acquire``)
-        keeps crash-recovery re-acquisition from boot-looping against a
-        dead server — the failure propagates to the client instead.
-        """
-        if self.offline:
-            raise NodeDown(self.name, "refusing boot while offline")
-        return self.make_runtime(cid, request)
 
     def make_pool_runtime(self, cid: str, app_id: str) -> RuntimeEnvironment:
         """Create (not boot) a warm-pool spare — no request exists yet.
@@ -102,11 +108,22 @@ class CloudPlatform:
             f"{type(self).__name__} does not support warm-pool pre-boot"
         )
 
-    def _make_pool_runtime_guarded(self, cid: str, app_id: str) -> RuntimeEnvironment:
-        """Pool-factory entry point: refuse pre-boots while offline."""
-        if self.offline:
-            raise NodeDown(self.name, "refusing pre-boot while offline")
-        return self.make_pool_runtime(cid, app_id)
+    def _online(self, factory: str) -> Callable[[str, Any], RuntimeEnvironment]:
+        """A Dispatcher runtime factory that refuses boots while offline.
+
+        Raising here (synchronously, inside ``Dispatcher.acquire`` or
+        ``Dispatcher.preboot``) keeps crash-recovery re-acquisition from
+        boot-looping against a dead server — the failure propagates to
+        the client instead.  ``factory`` names the platform method, looked
+        up on every call so an instance-level override takes effect.
+        """
+
+        def make(cid: str, arg: Any) -> RuntimeEnvironment:
+            if self.offline:
+                raise NodeDown(self.name, "refusing boot while offline")
+            return getattr(self, factory)(cid, arg)
+
+        return make
 
     # -------------------------------------------------- predictive scheduling
     def enable_predictive(
@@ -126,7 +143,7 @@ class CloudPlatform:
                 f"not {self.dispatcher.policy!r}"
             )
         self.predictor = WarmPoolPredictor(self, config)
-        self.dispatcher._pool_factory = self._make_pool_runtime_guarded
+        self.dispatcher._pool_factory = self._online("make_pool_runtime")
         cfg = self.predictor.cfg
         self.scheduler.tail_ranking = True
         # Multi-tenant guardrails live on the dispatcher (it owns the
@@ -155,76 +172,6 @@ class CloudPlatform:
         self.compute_cache = ComputeResultCache(config).bind_env(self.env)
         return self.compute_cache
 
-    def on_request_failed(self, request: OffloadRequest, exc: Exception) -> None:
-        """An in-flight request died (fault injection, interruption).
-
-        Platform-specific cleanup hook; Rattrap uses it to release the
-        code-upload reservation so waiters are not stranded.
-        """
-
-    def warehouse_or_none(self):
-        """Platforms with a code cache return their App Warehouse."""
-        return None
-
-    def code_needed(self, request: OffloadRequest, runtime: RuntimeEnvironment) -> bool:
-        """Must the client upload the app code for this request?"""
-        raise NotImplementedError
-
-    def on_code_received(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> Generator:
-        """Persist freshly uploaded code (platform-specific storage)."""
-        code_bytes = int(request.profile.code_size_kb * KB)
-        yield from self.server.disk.write(code_bytes, virt_overhead=runtime.io_overhead)
-
-    def fetch_code(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> Generator:
-        """Read the app code into the runtime before a cold load."""
-        code_bytes = int(request.profile.code_size_kb * KB)
-        yield from self.server.disk.read(code_bytes, virt_overhead=runtime.io_overhead)
-
-    def stage_payload(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> None:
-        """Persist the request's file/parameter payload for execution.
-
-        The write-back is asynchronous (received data is already in the
-        page cache; flushing does not stall the request), so staging
-        never extends the transfer phase — it only loads the device.
-        """
-        payload = int(
-            (request.profile.file_size_kb + request.profile.param_size_kb) * KB
-        )
-        if payload:
-            dev = runtime.offload_io_device()
-            proc = self.env.process(
-                dev.write(payload, virt_overhead=runtime.offload_io_overhead())
-            )
-            proc.defused = True
-
-    def after_execution(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> None:
-        """Post-completion cleanup hook (Rattrap burns offload data)."""
-
-    def on_app_loaded(self, request: OffloadRequest, runtime: RuntimeEnvironment) -> None:
-        """Code became warm in ``runtime`` (warehouse CID registration)."""
-
-    def record_execution_effects(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> None:
-        """Observability hook after the compute finishes (Binder traffic
-        counters, per-container statistics, ...)."""
-
-    def admit(self, request: OffloadRequest) -> AccessDecision:
-        """Admission control (Rattrap's access controller overrides)."""
-        return AccessDecision(True)
-
-    def admission_delay_s(self, request: OffloadRequest) -> float:
-        """Extra preparation time spent analyzing a first-seen app."""
-        return 0.0
-
     # ------------------------------------------------------------- lifecycle
     def submit(self, request: OffloadRequest, link: Link) -> "Process":
         """Serve one request; the returned process yields a RequestResult."""
@@ -251,22 +198,27 @@ class CloudPlatform:
                 yield from link.connect(env)
         timeline.add(Phase.CONNECTION, env.now - t0)
 
-        # -- admission (access controller) -------------------------------------
-        analysis_s = self.admission_delay_s(request)
-        decision = self.admit(request)
-        if not decision.allowed:
-            tenancy = env.tenancy
-            if tenancy is not None:
-                tenancy.account_blocked(request.app_id)
-            result = RequestResult(
-                request=request,
-                timeline=timeline,
-                started_at=started,
-                finished_at=env.now,
-                blocked=True,
+        # -- admission (Request-based Access Controller) ------------------------
+        access = self.access
+        analysis_s = 0.0
+        if access is not None:
+            analysis_s = access.admission_delay_s(request.app_id, env.now)
+            decision = access.admit(
+                request.app_id, request.requested_permissions, now=env.now
             )
-            self.results.append(result)
-            return result
+            if not decision.allowed:
+                tenancy = env.tenancy
+                if tenancy is not None:
+                    tenancy.account_blocked(request.app_id)
+                result = RequestResult(
+                    request=request,
+                    timeline=timeline,
+                    started_at=started,
+                    finished_at=env.now,
+                    blocked=True,
+                )
+                self.results.append(result)
+                return result
 
         # -- phase 2: runtime preparation ----------------------------------------
         t0 = env.now
@@ -289,9 +241,18 @@ class CloudPlatform:
         entry = (request, env.active_process)
         self._inflight.setdefault(record.cid, []).append(entry)
         result_hit = False
+        warehouse = self.warehouse
+        shared = self.shared_layer
         try:
             # -- phase 3a: upload ---------------------------------------------------
-            include_code = self.code_needed(request, runtime)
+            # With the App Warehouse the code travels once per platform;
+            # without it, once per runtime.
+            if warehouse is None:
+                include_code = not runtime.has_app(request.app_id)
+            else:
+                include_code = warehouse.claim_upload(
+                    request.app_id, request.request_id, env
+                )
             msgs = upload_messages(request.profile, include_code)
             bytes_up = sum(m.size_bytes for m in msgs)
             t0 = env.now
@@ -301,8 +262,30 @@ class CloudPlatform:
                 )
                 if include_code:
                     with trace_span(env, "stage", who=self.name, trace=request.trace_id):
-                        yield from self.on_code_received(request, runtime)
-                self.stage_payload(request, runtime)
+                        code_bytes = int(request.profile.code_size_kb * KB)
+                        if warehouse is not None:
+                            warehouse.store(request.app_id, code_bytes, now=env.now)
+                        yield from self.server.disk.write(
+                            code_bytes, virt_overhead=runtime.io_overhead
+                        )
+                        if warehouse is not None:
+                            warehouse.upload_done(request.app_id)
+                # Staging the file/parameter payload never extends the
+                # transfer phase: received data is already in the page
+                # cache, so the write-back only loads the device.
+                payload = int(
+                    (request.profile.file_size_kb + request.profile.param_size_kb) * KB
+                )
+                if payload:
+                    if shared is not None:
+                        shared.stage(request, payload)
+                    else:
+                        proc = env.process(
+                            runtime.offload_io_device().write(
+                                payload, virt_overhead=runtime.offload_io_overhead()
+                            )
+                        )
+                        proc.defused = True
             timeline.add(Phase.TRANSFER, env.now - t0)
 
             # -- phase 4: computation execution ----------------------------------------
@@ -328,7 +311,8 @@ class CloudPlatform:
                 # (otherwise every hit-only session cold-boots anew).
                 if not runtime.has_app(request.app_id):
                     runtime.mark_loaded(request.app_id)
-                    self.on_app_loaded(request, runtime)
+                    if warehouse is not None:
+                        warehouse.register_execution(request.app_id, runtime.instance_id)
             else:
                 with trace_span(env, "execute", who=record.cid, trace=request.trace_id):
                     yield from self._execute(request, runtime)
@@ -350,14 +334,20 @@ class CloudPlatform:
                 )
             timeline.add(Phase.TRANSFER, env.now - t0)
 
-            self.after_execution(request, runtime)
-        except Exception as exc:
+            if shared is not None:
+                shared.burn(request)
+        except Exception:
             # Every simulated fault is an Exception; GeneratorExit (a
             # suspended serve being closed) is not a request failure.
             metrics = metrics_of(env)
             if metrics is not None:
                 metrics.counter("platform.request_failures").inc()
-            self.on_request_failed(request, exc)
+            # A retry must be able to re-stage its payload, and requests
+            # parked on this one's code upload must not wait forever.
+            if shared is not None:
+                shared.burn(request)
+            if warehouse is not None:
+                warehouse.abort_upload(request.app_id, request.request_id)
             raise
         finally:
             self.scheduler.request_finished(record.cid)
@@ -396,31 +386,20 @@ class CloudPlatform:
         self.results.append(result)
         return result
 
-    def filter_workflow(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> Generator:
-        """Filter the request's declared workflow operations.
-
-        The base platform has no access controller; Rattrap overrides
-        this to run every operation through its
-        :class:`~repro.platform.access.RequestAccessController`.
-        Returns truthy when the filter blocked the app mid-workflow —
-        the caller aborts the rest of the execution instead of burning
-        more shared CPU on a blocked tenant.
-        """
-        return False
-        yield  # pragma: no cover - empty generator
-
     def _execute(self, request: OffloadRequest, runtime: RuntimeEnvironment) -> Generator:
         """Computation Execution: cold code load, CPU work, offload I/O."""
         profile = request.profile
         tenancy = self.env.tenancy
-        if request.operations:
-            aborted = yield from self.filter_workflow(request, runtime)
-            if aborted:
+        if request.operations and self.access is not None:
+            blocked = yield from self.access.filter_workflow(request, runtime)
+            if blocked:
                 return
         if not runtime.has_app(request.app_id):
-            yield from self.fetch_code(request, runtime)
+            warehouse = self.warehouse
+            if warehouse is not None:
+                yield from warehouse.wait_for_upload(request.app_id)
+            code_bytes = int(profile.code_size_kb * KB)
+            yield from self.server.disk.read(code_bytes, virt_overhead=runtime.io_overhead)
             if profile.code_load_s:
                 yield self.server.cpu.execute(
                     profile.code_load_s,
@@ -430,7 +409,8 @@ class CloudPlatform:
                 if tenancy is not None:
                     tenancy.account_cpu(request.app_id, profile.code_load_s)
             runtime.mark_loaded(request.app_id)
-            self.on_app_loaded(request, runtime)
+            if warehouse is not None:
+                warehouse.register_execution(request.app_id, runtime.instance_id)
         cpu_work = profile.cloud_cpu_s * request.work_scale + profile.framework_overhead_s
         if cpu_work:
             yield self.server.cpu.execute(
@@ -449,7 +429,7 @@ class CloudPlatform:
                 op="read",
                 virt_overhead=runtime.offload_io_overhead(),
             )
-        self.record_execution_effects(request, runtime)
+        runtime.record_execution()
 
     # ------------------------------------------------------- client estimates
     def expected_preparation_s(self, request: OffloadRequest) -> float:
@@ -464,9 +444,8 @@ class CloudPlatform:
 
     def code_cached(self, request: OffloadRequest) -> bool:
         """Would this request skip the code upload?"""
-        wh = self.warehouse_or_none()
-        if wh is not None:
-            return wh.has_code(request.app_id)
+        if self.warehouse is not None:
+            return self.warehouse.has_code(request.app_id)
         key = self.dispatcher.allocation_key(request)
         record = self.dispatcher.record_for_key(key)
         return record is not None and record.runtime.has_app(request.app_id)

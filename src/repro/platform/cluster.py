@@ -269,9 +269,7 @@ class ClusterPlatform:
         """
         if now is None:
             now = self.env.now
-        controllers = [
-            node.access for node in self.nodes if getattr(node, "access", None)
-        ]
+        controllers = [node.access for node in self.nodes if node.access is not None]
         blocked: dict = {}
         for controller in controllers:
             for app_id in controller.blocked_apps(now):

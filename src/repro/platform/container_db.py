@@ -96,10 +96,6 @@ class ContainerDB:
         """Every registered record, including stopped runtimes."""
         return list(self._records.values())
 
-    def ready(self) -> List[ContainerRecord]:
-        """Records whose runtime is READY."""
-        return [r for r in self._records.values() if r.runtime.is_ready]
-
     def by_device(self, device_id: str) -> List[ContainerRecord]:
         """Records owned by one device."""
         return [r for r in self._records.values() if r.owner_device == device_id]

@@ -159,8 +159,8 @@ class MigrationManager:
         )
         # Replicate preserved code for the warm apps so the destination
         # cache serves them without client re-upload.
-        src_wh = src.warehouse_or_none()
-        dst_wh = dst.warehouse_or_none()
+        src_wh = src.warehouse
+        dst_wh = dst.warehouse
         if dst_wh is not None:
             for app in runtime.loaded_apps:
                 if not dst_wh.has_code(app):

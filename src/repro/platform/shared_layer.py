@@ -26,6 +26,7 @@ from .tenancy import tenancy_of
 if TYPE_CHECKING:  # pragma: no cover
     from ..hostos.server import CloudServer
     from ..hostos.storage import StorageDevice
+    from ..offload.request import OffloadRequest
     from ..sim.core import Environment
 
 __all__ = ["SharedResourceLayer", "OffloadingIOLayer"]
@@ -270,6 +271,32 @@ class SharedResourceLayer:
     @property
     def base_bytes(self) -> int:
         return self.base_layer.total_bytes
+
+    # -- Sharing Offloading I/O per request ----------------------------------------
+    def stage(self, request: "OffloadRequest", nbytes: int) -> None:
+        """Stage a request's payload in the shared tmpfs layer.
+
+        Content-addressed by the payload digest when the client supplied
+        one: a dedup hit skips the tmpfs write, the bytes are already
+        resident.  The write itself runs asynchronously.
+        """
+        env = self.server.env
+        fresh = self.offload_io.stage(
+            f"req-{request.request_id}",
+            nbytes,
+            now=env.now,
+            digest=request.payload_digest,
+            tenant=request.app_id,
+        )
+        if fresh:
+            proc = env.process(self.server.tmpfs.write(nbytes))
+            proc.defused = True
+
+    def burn(self, request: "OffloadRequest") -> None:
+        """Burn after reading: free the request's staged data, if any."""
+        key = f"req-{request.request_id}"
+        if self.offload_io.has_staged(key):
+            self.offload_io.burn(key)
 
     def release(self) -> None:
         """Free the shared base (platform shutdown)."""

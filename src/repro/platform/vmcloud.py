@@ -47,7 +47,3 @@ class VMCloudPlatform(CloudPlatform):
         if self.io_tax is not None:
             kwargs["io_tax"] = self.io_tax
         return AndroidVM(self.server, cid, **kwargs)
-
-    def code_needed(self, request: OffloadRequest, runtime: RuntimeEnvironment) -> bool:
-        """Each isolated VM must receive the code once, over the network."""
-        return not runtime.has_app(request.app_id)

@@ -7,7 +7,9 @@ signature of the offloaded operation), mapping to an **AID** (app id),
 the preserved code, and the set of **CID**s (containers) where that
 code has already been executed — which lets the Dispatcher route
 repeat requests to warm containers "which saves the time for loading
-codes".
+codes".  While the first request's upload is in flight, the warehouse
+holds a reservation for it: later requests skip the upload and wait
+for the code instead of re-sending it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set, Tuple
 
+from ..faults.errors import CodeUploadAborted
 from ..obs import metrics_of
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.core import Environment
+    from ..sim.events import Event
 
 __all__ = ["CacheEntry", "AppWarehouse"]
 
@@ -65,6 +72,9 @@ class AppWarehouse:
         self.lookups = 0
         self.misses = 0
         self.evictions = 0
+        #: code uploads in flight: app -> (request_id of the request
+        #: carrying the code, event fired once the code is preserved)
+        self._uploads: Dict[str, Tuple[int, "Event"]] = {}
         #: environment this warehouse reports metrics through (set by
         #: the owning platform via bind_env; None = no reporting)
         self._env: Optional[Any] = None
@@ -151,6 +161,51 @@ class AppWarehouse:
         if metrics is not None:
             metrics.counter("warehouse.evicted").inc()
             metrics.gauge("warehouse.code_bytes").set(self.total_code_bytes())
+
+    # -- upload reservations ---------------------------------------------------------
+    def claim_upload(self, app_id: str, request_id: int, env: "Environment") -> bool:
+        """Must this request carry the app's code?
+
+        An upload already in flight counts as a hit without a lookup:
+        the request waits for it (:meth:`wait_for_upload`) instead of
+        re-sending.  On a miss this request reserves the upload, once
+        and for all.
+        """
+        if app_id in self._uploads:
+            return False
+        if self.lookup(app_id) is not None:
+            return False
+        self._uploads[app_id] = (request_id, env.event())
+        return True
+
+    def wait_for_upload(self, app_id: str) -> Generator:
+        """Wait until an in-flight upload of the app's code lands (a
+        concurrent first-wave request can reach code load first)."""
+        upload = self._uploads.get(app_id)
+        if upload is not None:
+            yield upload[1]
+
+    def upload_done(self, app_id: str) -> None:
+        """The reserved upload landed: wake the requests waiting on it."""
+        upload = self._uploads.pop(app_id, None)
+        if upload is not None:
+            upload[1].succeed()
+
+    def abort_upload(self, app_id: str, request_id: int) -> None:
+        """Release the reservation of a request that died mid-flight.
+
+        Waiters would otherwise wait forever.  Failing the event with
+        :class:`~repro.faults.errors.CodeUploadAborted` (retryable)
+        sends them back to the client so a survivor re-uploads the
+        code.  A request that holds no reservation is a no-op.
+        """
+        upload = self._uploads.get(app_id)
+        if upload is None or upload[0] != request_id:
+            return
+        del self._uploads[app_id]
+        pending = upload[1]
+        pending.defused = True  # waiters may already be dead too
+        pending.fail(CodeUploadAborted(app_id))
 
     # -- CID mapping (cache table; dispatch reads the Container DB) --------------------
     def register_execution(self, app_id: str, cid: str) -> None:

@@ -226,6 +226,10 @@ class RuntimeEnvironment:
         """Record that this app's code is now resident."""
         self.loaded_apps.add(app_id)
 
+    def record_execution(self) -> None:
+        """Account one offloaded execution inside this runtime (subclass
+        hook; containers count their Binder traffic)."""
+
     # -- offloading I/O ------------------------------------------------------------------
     def offload_io_device(self) -> "StorageDevice":
         """Where this runtime's offloading I/O lands (subclass decides)."""

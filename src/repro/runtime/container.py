@@ -59,7 +59,6 @@ class CloudAndroidContainer(RuntimeEnvironment):
         instance_id: str,
         optimized: bool = True,
         shared_base: Optional[Layer] = None,
-        prewarmed: bool = False,
     ):
         if optimized and shared_base is None:
             raise ValueError(
@@ -84,7 +83,6 @@ class CloudAndroidContainer(RuntimeEnvironment):
         )
         self.optimized = optimized
         self.shared_base = shared_base
-        self.prewarmed = prewarmed
         self.device_namespace = None
         #: the container's union-mounted rootfs
         top = Layer(f"{instance_id}-top")
@@ -121,6 +119,14 @@ class CloudAndroidContainer(RuntimeEnvironment):
         return self.server.tmpfs if self.optimized else self.server.disk
 
     # -- binder traffic (observability) ---------------------------------------------
+    def record_execution(self) -> None:
+        """Offloaded code talks to system services over Binder — the
+        driver the Android Container Driver namespaces per container.
+        Invoking the offloaded method and returning the result is at
+        least two transactions."""
+        self.binder_transaction()
+        self.binder_transaction()
+
     def binder_transaction(self) -> None:
         """Record one Binder ioctl in this container's device namespace."""
         if self.device_namespace is None:

@@ -88,3 +88,16 @@ def test_bench_extras_match_makefile_compare_and_doc():
     assert quoted, "docs/PERFORMANCE.md does not quote the make bench extras"
     for command in quoted:
         assert _extras(command) == compare.SMOKE_EXPERIMENTS, command
+
+
+def test_tutorial_platform_variant_snippet_runs():
+    text = (ROOT / "docs" / "TUTORIAL.md").read_text(encoding="utf-8")
+    section = text.split("## 3. Build a platform variant", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace: dict = {}
+    exec(compile(code, "TUTORIAL.md#3", "exec"), namespace)
+    uploaded = namespace["uploaded_kb"]
+    # Without the App Warehouse each of the three containers receives
+    # the code; with it the code travels once.
+    assert uploaded["NoCacheRattrap"] > uploaded["RattrapPlatform"]
+    assert uploaded["ExclusiveIORattrap"] == uploaded["RattrapPlatform"]

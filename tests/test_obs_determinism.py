@@ -88,19 +88,50 @@ def test_merged_worker_snapshots_match_serial_drain():
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
 
-@pytest.mark.parametrize("platform", ["vm", "rattrap-wo", "rattrap"])
-def test_golden_trace_sequence_is_pinned(platform):
+def _no_cache_rattrap_rows(profile, devices, requests_per_device, seed):
+    """Optimized Rattrap with the code cache detached (the shape of the
+    ``no-cache`` ablation), traced on the standard inflow."""
+    env = Environment()
+    Observability(env, tracing=True, metrics=False)
+    plat = RattrapPlatform(env, optimized=True)
+    plat.warehouse = None
+    plans = generate_inflow(
+        profile, devices=devices, requests_per_device=requests_per_device, seed=seed
+    )
+    run_inflow_experiment(env, plat, plans, make_link("lan-wifi"))
+    return env.obs.tracer.as_rows()
+
+
+@pytest.mark.parametrize(
+    "platform,workload",
+    [
+        pytest.param("vm", "ocr", id="vm"),
+        pytest.param("rattrap-wo", "ocr", id="rattrap-wo"),
+        pytest.param("rattrap", "ocr", id="rattrap"),
+        # VirusScan adds payload staging, dedup hits and execution I/O.
+        pytest.param("vm", "scan", id="vm-scan"),
+        pytest.param("rattrap-wo", "scan", id="rattrap-wo-scan"),
+        pytest.param("rattrap", "scan", id="rattrap-scan"),
+        pytest.param("rattrap-nocache", "scan", id="rattrap-nocache-scan"),
+    ],
+)
+def test_golden_trace_sequence_is_pinned(platform, workload):
     """The full span sequence for one seed is a regression artifact.
 
     Any change to request ordering, phase boundaries, or dispatcher
     wake-up order shows up here as a diff against the checked-in trace.
     """
-    exp = run_workload_experiment(
-        platform, get_profile("ocr"), devices=2, requests_per_device=3,
-        seed=1, with_tracing=True,
-    )
-    rows = exp.env.obs.tracer.as_rows()
-    with open(os.path.join(DATA_DIR, f"trace_{platform}_ocr_seed1.json")) as fh:
+    profile = get_profile("virusscan" if workload == "scan" else workload)
+    if platform == "rattrap-nocache":
+        rows = _no_cache_rattrap_rows(profile, devices=2, requests_per_device=3, seed=1)
+    else:
+        exp = run_workload_experiment(
+            platform, profile, devices=2, requests_per_device=3,
+            seed=1, with_tracing=True,
+        )
+        rows = exp.env.obs.tracer.as_rows()
+    path = os.path.join(DATA_DIR, f"trace_{platform}_{workload}_seed1.json")
+    with open(path) as fh:
         golden = json.load(fh)
     assert rows == golden
 
