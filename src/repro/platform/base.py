@@ -14,6 +14,8 @@ result cache and the warm-pool predictor.
 
 from __future__ import annotations
 
+import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..faults.errors import NodeDown, RuntimeCrashed
@@ -37,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.process import Process
 
 __all__ = ["CloudPlatform"]
+
+#: a Container DB row's request count (the idle reaper's served check)
+_served = attrgetter("total_requests")
 
 
 class CloudPlatform:
@@ -77,6 +82,12 @@ class CloudPlatform:
         #: offloading frameworks hold their sockets open).
         self.keepalive_s: float = 0.0
         self._last_contact: Dict[str, float] = {}
+        #: the idle reaper's last scan: (DB version, timeout, expired
+        #: rows, earliest idle-since among the rows still to expire, the
+        #: expired rows' summed request counts)
+        self._reap_memo: Optional[
+            Tuple[int, float, List[ContainerRecord], float, int]
+        ] = None
         # Optional components: each is None (detached, zero cost) or
         # present; platform variants set them in their constructors.
         #: App Warehouse code cache (None = every runtime receives the
@@ -566,28 +577,54 @@ class CloudPlatform:
         memory for other tenants — which is why cold starts recur in
         the trace-driven evaluation (Fig. 11): a new app session after
         a long gap finds its previous runtime gone.
+
+        A scan walks the Container DB's live rows only, and is skipped
+        when the last one still answers: the DB's version has not moved,
+        no expired row has served a request since, and no other row can
+        have expired yet.
         """
         if idle_timeout_s <= 0:
             raise ValueError("idle_timeout_s must be positive")
         now = self.env.now
-        reaped: List[str] = []
+        db = self.db
+        memo = self._reap_memo
+        if (
+            memo is not None
+            and memo[0] == db.version
+            and memo[1] == idle_timeout_s
+            and now - memo[3] <= idle_timeout_s
+            and sum(map(_served, memo[2])) == memo[4]
+        ):
+            expired = memo[2]
+        else:
+            expired = []
+            # idle-since of the first READY row still to expire; a busy
+            # row goes idle no earlier than now
+            next_base = math.inf
+            for record in db.live_records():
+                if not record.runtime.is_ready:
+                    continue
+                if record.active_requests:
+                    next_base = min(next_base, now)
+                    continue
+                base = max(record.last_used, record.created_at)
+                if now - base > idle_timeout_s:
+                    expired.append(record)
+                elif base < next_base:
+                    next_base = base
+            served = sum(map(_served, expired))
+            memo = (db.version, idle_timeout_s, expired, next_base, served)
+        self._reap_memo = memo
+        if not expired:
+            return []
         # The predictor's warm pool is exempt: reaping a spare it wants
         # hot would just trigger a re-pre-boot one tick later.
-        protected = (
-            self.predictor.protected_cids() if self.predictor is not None else None
-        )
-        # Cheap comparisons (activity, idle age) run before the runtime
-        # state check — the reaper scans every record on each tick.
-        for record in self.db._records.values():
-            if (
-                record.active_requests == 0
-                and now - max(record.last_used, record.created_at) > idle_timeout_s
-                and record.runtime.is_ready
-                and (protected is None or record.cid not in protected)
-            ):
-                record.runtime.stop()
-                reaped.append(record.cid)
-        return reaped
+        if self.predictor is not None:
+            protected = self.predictor.protected_cids()
+            expired = [r for r in expired if r.cid not in protected]
+        for record in expired:
+            record.runtime.stop()
+        return [record.cid for record in expired]
 
     def start_idle_reaper(
         self, idle_timeout_s: float = 120.0, check_interval_s: float = 10.0

@@ -122,12 +122,10 @@ class Dispatcher:
         if key.startswith("app:"):
             candidates = self.db.with_app(key[4:])
             return self.scheduler.pick_least_loaded(candidates)
-        owned = [
-            r
-            for r in self.db.by_device(key)
-            if r.runtime.state in (RuntimeState.BOOTING, RuntimeState.READY)
-        ]
-        return owned[0] if owned else None
+        for record in self.db.by_device(key):
+            if record.runtime.state in (RuntimeState.BOOTING, RuntimeState.READY):
+                return record
+        return None
 
     # -- acquisition ---------------------------------------------------------------
     def acquire(self, request: OffloadRequest) -> Generator:
@@ -193,6 +191,7 @@ class Dispatcher:
             spares = self._spares[app_id]
             if booting in spares:  # gone once an earlier rider claimed it
                 spares.remove(booting)
+                self.db.pool_changed()
             self._count_pool_hit(app_id)
             return booting
         # The spare died between settle and wake; start over.
@@ -219,6 +218,7 @@ class Dispatcher:
         record = self.db.register(runtime, owner_device=owner, now=self.env.now)
         boot = record.boot = self.env.process(runtime.boot())
         self._boots[key] = record
+        self.db.pool_changed()
         metrics = metrics_of(self.env)
         if metrics is not None:
             metrics.counter("dispatch.cold_boots").inc()
@@ -245,6 +245,7 @@ class Dispatcher:
     def _boot_settled(self, key: str, record: ContainerRecord) -> None:
         """Boot-completion bookkeeping (runs before waiters resume)."""
         boot, record.boot = record.boot, None
+        self.db.pool_changed()
         if self._boots.get(key) is record:
             del self._boots[key]
             metrics = metrics_of(self.env)
@@ -309,6 +310,7 @@ class Dispatcher:
         # boot dies (node outage mid-pre-boot).
         boot.defused = True
         self._spares.setdefault(app_id, []).append(record)
+        self.db.pool_changed()
         self.preboots += 1
         metrics = metrics_of(self.env)
         if metrics is not None:
@@ -355,6 +357,7 @@ class Dispatcher:
         """Pre-boot bookkeeping: the spare joins the settled end of its
         app's list, or is evicted."""
         boot, record.boot = record.boot, None
+        self.db.pool_changed()
         self._spares[app_id].remove(record)
         if boot.exception is None and record.runtime.is_ready:
             self._ever_warm.add(f"app:{app_id}")
@@ -372,6 +375,7 @@ class Dispatcher:
         spares = self._spares.get(app_id, [])
         for record in [r for r in spares if r.boot is None]:
             spares.remove(record)
+            self.db.pool_changed()
             if record.runtime.is_ready:
                 self._count_pool_hit(app_id)
                 return record
@@ -394,6 +398,7 @@ class Dispatcher:
                 and record.active_requests == 0
             ):
                 self._spares[app_id].remove(record)
+                self.db.pool_changed()
                 record.runtime.stop()
                 self.pool_drained += 1
                 metrics = metrics_of(self.env)
@@ -410,14 +415,17 @@ class Dispatcher:
 
     def pool_spares(self, app_id: str) -> int:
         """Settled spares currently pooled for the app."""
-        return sum(1 for r in self._spares.get(app_id, ()) if r.boot is None)
+        spares = self._spares.get(app_id)
+        if not spares:
+            return 0
+        return sum(1 for r in spares if r.boot is None)
 
     def pool_size(self, app_id: str) -> int:
         """Warm capacity in flight for the app beyond ready runtimes:
         spares (settled and booting), and a demand-driven cold boot if
         one is pending under the app's allocation key."""
         size = len(self._spares.get(app_id, ()))
-        if f"app:{app_id}" in self._boots:
+        if self._boots and f"app:{app_id}" in self._boots:
             size += 1
         return size
 

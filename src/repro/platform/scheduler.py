@@ -24,9 +24,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..obs import Histogram, metrics_of
+from ..obs.metrics import Gauge, MetricsRegistry
 from .container_db import ContainerDB, ContainerRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,6 +60,10 @@ HEADROOM = 1.5
 LOW_WATERMARK = 0.05
 #: samples of the dispatcher's pending cold boots kept for the trend boost
 TREND_WINDOW = 5
+#: ticks a quiet run stops short of the first tick whose target could
+#: change (a decaying demand crossing an edge, a hold window lapsing),
+#: so float drift in that forecast can only cost a slow tick
+QUIET_MARGIN = 2
 
 
 class MonitorScheduler:
@@ -172,18 +186,38 @@ class ArrivalRateEWMA:
         if count:
             self._counts[app_id] = self._counts.get(app_id, 0) + count
 
-    def tick(self) -> None:
-        """Fold the tick's counts into every app's rate estimate."""
+    def tick(self) -> Tuple[str, ...]:
+        """Fold the tick's counts into every app's rate estimate.
+
+        Returns the apps that had arrivals since the last tick.
+        """
         counts = self._counts
         rates = self._rates
+        alpha = self.alpha
+        if not counts:
+            # the zero count's rate, 0 / tick_s, is exactly 0.0
+            for app_id, prev in rates.items():
+                rates[app_id] = prev + alpha * (0.0 - prev)
+            return ()
         for app_id in counts:
             if app_id not in rates:
                 rates[app_id] = 0.0
-        alpha = self.alpha
         for app_id, prev in rates.items():
             inst = counts.get(app_id, 0) / self.tick_s
             rates[app_id] = prev + alpha * (inst - prev)
+        counted = tuple(counts)
         counts.clear()
+        return counted
+
+    def counting(self) -> bool:
+        """Have arrivals been counted since the last tick?"""
+        return bool(self._counts)
+
+    @property
+    def estimates(self) -> Dict[str, float]:
+        """Every app's current rate estimate, in first-seen order
+        (read-only view)."""
+        return self._rates
 
     def rate(self, app_id: str) -> float:
         """Current estimated arrivals/second for the app."""
@@ -231,6 +265,14 @@ class WarmPoolPredictor:
     a persistent surplus.  It reads nothing from the metrics registry;
     with one attached it exports ``sched.arrival_rate.<app>`` and
     ``sched.target_pool.<app>``.
+
+    A reconciliation that leaves every app at its target, with no boot
+    trend, *settles* the pool.  Until something arrives, the Container
+    DB's version moves or a decaying forecast nears a target edge
+    (computed ahead, see :meth:`_steady_ticks`), the following ticks are
+    *quiet*: they fold the EWMAs and export the gauges, which is all a
+    reconciliation would have changed.  A tick with arrivals re-aims
+    only the apps that had them (:meth:`_still_settled`).
     """
 
     def __init__(self, platform: "CloudPlatform", config: Optional[PredictiveConfig] = None):
@@ -243,6 +285,30 @@ class WarmPoolPredictor:
         self._boot_s: Optional[float] = None
         self.ticks = 0
         self.drains = 0
+        #: per-app targets of the last reconciliation and the hold flags
+        #: they assumed (None once a tick folded rates without one)
+        self._targets: Optional[Dict[str, int]] = None
+        self._held: Dict[str, bool] = {}
+        #: earliest last arrival among the held apps (inf: none held) —
+        #: every flag still holds while ``now - _held_since <= hold_s``
+        self._held_since = math.inf
+        #: quiet-tick gate: the DB version and pending boots the
+        #: pool settled at
+        self._settled_version = -1
+        self._settled_pending = -1
+        #: per app, the last tick its target provably holds without an
+        #: arrival; their minimum (-1: the pool is not settled)
+        self._until: Dict[str, float] = {}
+        self._quiet_until: float = -1
+        #: (app, arrival-rate gauge, target gauge, target) per app, for
+        #: the registry and the targets they came from
+        self._registry: Optional[MetricsRegistry] = None
+        self._exported: Optional[Dict[str, int]] = None
+        self._gauges: List[Tuple[str, Gauge, Gauge, int]] = []
+        #: protected_cids' last answer and the (DB version,
+        #: targets, busy CIDs) it was computed under
+        self._protect_key: Optional[Tuple[int, Dict[str, int], FrozenSet[str]]] = None
+        self._protected: FrozenSet[str] = frozenset()
 
     # -- signals ---------------------------------------------------------------
     def observe_arrival(self, request) -> None:
@@ -278,26 +344,31 @@ class WarmPoolPredictor:
 
     def target_pool(self, app_id: str) -> int:
         """Warm runtimes the forecast wants for an app right now."""
+        now = self.platform.env.now
+        return self._target(app_id, self._is_held(app_id, now), self.pending_boots_trend())
+
+    def _is_held(self, app_id: str, now: float) -> bool:
+        """Is the app inside its hold window (an arrival within hold_s)?"""
+        last = self._last_arrival.get(app_id)
+        return last is not None and now - last <= self.cfg.hold_s
+
+    def _target(self, app_id: str, held: bool, trend: int) -> int:
         cfg = self.cfg
         floor = self.platform.dispatcher.pool_floors.get(app_id, 0)
-        demand = self.rates.rate(app_id) * self.boot_estimate_s() * HEADROOM
-        held = (
-            app_id in self._last_arrival
-            and self.platform.env.now - self._last_arrival[app_id] <= cfg.hold_s
-        )
+        boot_s = self._boot_s if self._boot_s is not None else self.boot_estimate_s()
+        demand = self.rates.rate(app_id) * boot_s * HEADROOM
         if demand < LOW_WATERMARK and not held:
             # A reservation floor keeps its owner warm even after the
             # demand estimate decays — that is the guarantee.
             return min(floor, cfg.max_pool)
         target = max(1, math.ceil(demand), floor)
-        trend = self.pending_boots_trend()
         if trend > 0:
             # Boots are piling up faster than they settle: a cold wave
             # is landing — widen the pool by the observed rise.
             target += trend
         return min(target, cfg.max_pool)
 
-    def protected_cids(self) -> Set[str]:
+    def protected_cids(self) -> FrozenSet[str]:
         """Runtimes the idle reaper must spare: pool members, plus up to
         ``target_pool`` idle warm runtimes per app (pool-by-retention —
         cheaper than reaping a warm runtime only to re-boot a spare).
@@ -306,21 +377,51 @@ class WarmPoolPredictor:
         same budget as pooled spares, reservation-floor owners first —
         retention cannot become a back door around the capacity a
         squatter is being held to.
+
+        The answer is a function of the Container DB's version, of which
+        runtimes are busy and of the targets, so it is reused while all
+        three stand still.  The last tick's targets still hold while
+        every app's hold flag does.
         """
-        dispatcher = self.platform.dispatcher
-        out = set(dispatcher.pooled_cids())
-        db = self.platform.db
+        platform = self.platform
+        db = platform.db
+        now = platform.env.now
+        targets = self._targets
+        if targets is None or (
+            # an arrival or a lapse may have flipped a hold flag
+            (self.rates.counting() or now - self._held_since > self.cfg.hold_s)
+            and any(
+                self._is_held(app_id, now) is not held
+                for app_id, held in self._held.items()
+            )
+        ):
+            trend = self.pending_boots_trend()
+            targets = {
+                app_id: self._target(app_id, self._is_held(app_id, now), trend)
+                for app_id in self.rates.apps()
+            }
+        key = self._protect_key
+        if (
+            key is not None
+            and key[0] == db.version
+            and key[2] == db.busy
+            and key[1] == targets
+        ):
+            return self._protected
+        dispatcher = platform.dispatcher
+        out = dispatcher.pooled_cids()
         capacity = dispatcher.pool_capacity
         budget = math.inf if capacity is None else max(0, capacity - len(out))
         floors = dispatcher.pool_floors
-        apps = sorted(self.rates.apps(), key=lambda a: -floors.get(a, 0))
+        apps = sorted(targets, key=lambda a: -floors.get(a, 0)) if floors else targets
         for app_id in apps:
             if budget <= 0:
                 break
-            need = self.target_pool(app_id) - dispatcher.pool_spares(app_id)
+            need = targets[app_id] - dispatcher.pool_spares(app_id)
             if need <= 0:
                 continue
-            need = int(min(need, budget))
+            if need > budget:
+                need = int(budget)
             for record in db.with_app(app_id):
                 if record.active_requests == 0 and record.cid not in out:
                     out.add(record.cid)
@@ -328,40 +429,202 @@ class WarmPoolPredictor:
                     need -= 1
                     if need == 0:
                         break
-        return out
+        self._protect_key = (db.version, targets, frozenset(db.busy))
+        self._protected = frozenset(out)
+        return self._protected
 
     # -- the control loop ---------------------------------------------------------
     def tick(self) -> None:
-        """One reconciliation pass (called every ``tick_s`` sim-seconds)."""
+        """One control-loop pass (called every ``tick_s`` sim-seconds):
+        fold the rates, then reconcile unless the pool is still settled."""
         self.ticks += 1
-        self.rates.tick()
+        arrived = self.rates.tick()
         platform = self.platform
         if platform.offline:
             # Failover-aware: a dark node neither pre-boots nor drains;
             # its traffic rehashes elsewhere and grows pools there.
             self._surplus_ticks.clear()
+            self._targets = None
+            self._quiet_until = -1
             return
-        dispatcher = platform.dispatcher
-        self._pending_samples.append(dispatcher.pending_boots())
+        pending = platform.dispatcher.pending_boots()
+        self._pending_samples.append(pending)
+        settled = self._quiet_until >= 0 and pending == self._settled_pending
+        quiet = (
+            settled
+            and not arrived
+            and self.ticks <= self._quiet_until
+            and platform.db.version == self._settled_version
+        )
+        if not quiet and not (settled and self._still_settled(arrived)):
+            self._reconcile()
         metrics = metrics_of(platform.env)
+        if metrics is not None:
+            self._export(metrics)
+
+    def _still_settled(self, arrived: Tuple[str, ...]) -> bool:
+        """Does the settled pool still meet every target?
+
+        Only apps with arrivals, or past the tick their target was known
+        to hold until, get a new target; every app's warm count is
+        re-read only if the DB's version moved.  Nothing is changed
+        unless the answer is True.
+        """
+        ticks = self.ticks
+        version = self.platform.db.version
+        until = self._until
+        if ticks <= self._quiet_until:
+            aim = arrived
+        else:
+            aim = arrived + tuple(
+                a for a, last in until.items() if ticks > last and a not in arrived
+            )
+        now = self.platform.env.now
+        targets = self._targets
+        was_held = self._held
+        rates = self.rates.estimates
+        hold_s = self.cfg.hold_s
+        last_arrival = self._last_arrival
+        #: apps whose target or hold flag moved: app -> (held, target)
+        fresh: Dict[str, Tuple[bool, int]] = {}
+        for app_id in aim:
+            held = now - last_arrival[app_id] <= hold_s
+            if held and was_held.get(app_id) and ticks <= until[app_id]:
+                # Still held and on its old bound: arrivals only raised
+                # the demand (and moved the lapse later), so the target
+                # stands unless the demand passed its ceil edge.
+                target = targets[app_id]
+                if (
+                    target >= self.cfg.max_pool
+                    or rates[app_id] * self._boot_s * HEADROOM <= target
+                ):
+                    continue
+            fresh[app_id] = (held, self._target(app_id, held, 0))
+        if version != self._settled_version or fresh:
+            dispatcher = self.platform.dispatcher
+            ready_count = self.platform.db.ready_count
+            names = fresh if version == self._settled_version else {**targets, **fresh}
+            for app_id in names:
+                entry = fresh.get(app_id)
+                target = targets[app_id] if entry is None else entry[1]
+                if ready_count(app_id) + dispatcher.pool_size(app_id) != target:
+                    return False
+        if fresh:
+            targets = self._targets = dict(targets)
+            for app_id, (held, target) in fresh.items():
+                targets[app_id] = target
+                was_held[app_id] = held
+                self._surplus_ticks[app_id] = 0
+                until[app_id] = ticks + self._steady_ticks(app_id, target, held, now)
+            self._quiet_until = min(until.values())
+            self._held_since = self._earliest_held()
+        self._settled_version = version
+        return True
+
+    def _reconcile(self) -> None:
+        """Size every app's warm capacity to its target (the full pass)."""
+        platform = self.platform
+        dispatcher = platform.dispatcher
+        db = platform.db
+        now = platform.env.now
+        trend = self.pending_boots_trend()
+        targets: Dict[str, int] = {}
+        held: Dict[str, bool] = {}
+        settled = True
         for app_id in self.rates.apps():
-            target = self.target_pool(app_id)
-            if metrics is not None:
-                metrics.gauge(f"sched.arrival_rate.{app_id}").set(self.rates.rate(app_id))
-                metrics.gauge(f"sched.target_pool.{app_id}").set(target)
-            have = len(platform.db.with_app(app_id)) + dispatcher.pool_size(app_id)
+            app_held = held[app_id] = self._is_held(app_id, now)
+            target = targets[app_id] = self._target(app_id, app_held, trend)
+            have = db.ready_count(app_id) + dispatcher.pool_size(app_id)
             if have < target:
+                settled = False
                 for _ in range(target - have):
                     if dispatcher.preboot(app_id) is None:
                         break
                 self._surplus_ticks[app_id] = 0
             elif have > target:
+                settled = False
                 streak = self._surplus_ticks.get(app_id, 0) + 1
                 self._surplus_ticks[app_id] = streak
                 if streak >= self.cfg.drain_ticks and dispatcher.drain_pool(app_id):
                     self.drains += 1
             else:
                 self._surplus_ticks[app_id] = 0
+        self._targets = targets
+        self._held = held
+        self._held_since = self._earliest_held()
+        samples = self._pending_samples
+        if settled and samples.count(samples[-1]) == len(samples):
+            # A uniform trend window stays uniform (trend 0) while the
+            # pending count stands still.
+            self._settled_version = db.version
+            self._settled_pending = samples[-1]
+            self._until = {
+                app_id: self.ticks + self._steady_ticks(app_id, target, held[app_id], now)
+                for app_id, target in targets.items()
+            }
+            self._quiet_until = min(self._until.values(), default=math.inf)
+        else:
+            self._quiet_until = -1
+
+    def _earliest_held(self) -> float:
+        """The earliest last arrival among held apps (inf: none held)."""
+        last = self._last_arrival
+        return min((last[a] for a, held in self._held.items() if held), default=math.inf)
+
+    def _steady_ticks(self, app_id: str, target: int, held: bool, now: float) -> float:
+        """Ticks after this one that provably keep the app's target,
+        with no arrival and no trend (-1 or less: none).
+
+        With no arrivals each tick multiplies the app's rate by
+        ``1 - alpha``, so its demand decays geometrically and the first
+        tick whose target differs is known ahead: the demand falls to
+        ``target - 1`` (the ceil edge), or under ``LOW_WATERMARK`` where
+        that branch lowers the target, or the hold window lapses.  The
+        answer stops :data:`QUIET_MARGIN` ticks short of the earliest,
+        so float drift in the forecast can only cost a full pass.
+        """
+        cfg = self.cfg
+        bound = math.inf
+        if held:
+            lapse = self._last_arrival[app_id] + cfg.hold_s
+            bound = math.floor((lapse - now) / cfg.tick_s)
+        demand = self.rates.rate(app_id) * self.boot_estimate_s() * HEADROOM
+        if demand < LOW_WATERMARK and not held:
+            return math.inf  # decay keeps it in the low branch
+        floor = self.platform.dispatcher.pool_floors.get(app_id, 0)
+        if target > max(1, floor):
+            edge = target - 1.0
+        elif held or min(floor, cfg.max_pool) == target:
+            return bound - QUIET_MARGIN  # clamped at the floor in either branch
+        else:
+            edge = LOW_WATERMARK
+        decay = 1.0 - cfg.alpha
+        if decay <= 0.0 or demand <= edge:
+            return -1
+        ahead = math.floor(math.log(edge / demand) / math.log(decay))
+        return min(bound, ahead) - QUIET_MARGIN
+
+    def _export(self, metrics: MetricsRegistry) -> None:
+        """Export each app's arrival rate and target as gauges."""
+        targets = self._targets
+        if metrics is not self._registry or targets is not self._exported:
+            # Targets are replaced, never edited: rebuild on a new dict.
+            self._registry = metrics
+            self._exported = targets
+            self._gauges = [
+                (
+                    app_id,
+                    metrics.gauge(f"sched.arrival_rate.{app_id}"),
+                    metrics.gauge(f"sched.target_pool.{app_id}"),
+                    target,
+                )
+                for app_id, target in targets.items()
+            ]
+        rates = self.rates.estimates
+        for app_id, rate_gauge, target_gauge, target in self._gauges:
+            rate_gauge.set(rates[app_id])
+            if target_gauge.value != target:  # unchanged unless another node wrote it
+                target_gauge.set(target)
 
     def run(self, env: "Environment"):
         """Process generator: tick forever (pair with ``env.process``)."""

@@ -18,6 +18,7 @@ from ..obs import metrics_of, trace_span
 if TYPE_CHECKING:  # pragma: no cover
     from ..hostos.server import CloudServer
     from ..hostos.storage import StorageDevice
+    from ..platform.container_db import ContainerDB
 
 __all__ = ["RuntimeState", "RuntimeEnvironment", "RuntimeError_"]
 
@@ -86,6 +87,16 @@ class RuntimeEnvironment:
         #: True for warm-pool spares booted ahead of demand (predictive
         #: scheduling) — reports can split pre-boots from demand boots
         self.prewarmed = False
+        #: the Container DB holding this runtime's row (set by
+        #: ``ContainerDB.register``); told of every state change and
+        #: code load so its indices stay current
+        self.container_db: Optional["ContainerDB"] = None
+
+    def _enter(self, state: RuntimeState) -> None:
+        """Move to ``state`` and report the transition to the Container DB."""
+        self.state = state
+        if self.container_db is not None:
+            self.container_db.runtime_changed(self)
 
     # -- lifecycle --------------------------------------------------------------
     def _acquire_resources(self) -> None:
@@ -93,13 +104,13 @@ class RuntimeEnvironment:
         try:
             self.server.memory.reserve(self.instance_id, self.memory_mb)
         except Exception:
-            self.state = RuntimeState.STOPPED
+            self._enter(RuntimeState.STOPPED)
             raise
         try:
             self.server.disk.allocate(self.disk_bytes)
         except Exception:
             self.server.memory.release(self.instance_id)
-            self.state = RuntimeState.STOPPED
+            self._enter(RuntimeState.STOPPED)
             raise
         self._resources_held = True
 
@@ -125,7 +136,7 @@ class RuntimeEnvironment:
             raise RuntimeError_(
                 f"{self.instance_id}: boot from state {self.state.value}"
             )
-        self.state = RuntimeState.BOOTING
+        self._enter(RuntimeState.BOOTING)
         self.booted_at = self.env.now
         self._acquire_resources()
         self._pre_boot()
@@ -143,7 +154,7 @@ class RuntimeEnvironment:
             # Crashed out from under us in the same tick the sequence
             # finished; resources are already released.
             raise RuntimeError_(f"{self.instance_id}: crashed during boot")
-        self.state = RuntimeState.READY
+        self._enter(RuntimeState.READY)
         self.ready_at = self.env.now
         return self
 
@@ -158,11 +169,11 @@ class RuntimeEnvironment:
             raise RuntimeError_(
                 f"{self.instance_id}: restore from state {self.state.value}"
             )
-        self.state = RuntimeState.BOOTING
+        self._enter(RuntimeState.BOOTING)
         self.booted_at = self.env.now
         self._acquire_resources()
         self._pre_boot()
-        self.state = RuntimeState.READY
+        self._enter(RuntimeState.READY)
         self.ready_at = self.env.now
         return self
 
@@ -174,7 +185,7 @@ class RuntimeEnvironment:
             raise RuntimeError_(f"{self.instance_id}: cannot stop mid-boot")
         if self.state is RuntimeState.READY:
             self._release_resources()
-        self.state = RuntimeState.STOPPED
+        self._enter(RuntimeState.STOPPED)
         self.stopped_at = self.env.now
 
     def crash(self, reason: str = "fault") -> bool:
@@ -193,7 +204,7 @@ class RuntimeEnvironment:
 
     def _mark_crashed(self, reason: str) -> None:
         self._release_resources()
-        self.state = RuntimeState.CRASHED
+        self._enter(RuntimeState.CRASHED)
         self.crash_reason = reason
         self.stopped_at = self.env.now
         metrics = metrics_of(self.env)
@@ -224,7 +235,10 @@ class RuntimeEnvironment:
 
     def mark_loaded(self, app_id: str) -> None:
         """Record that this app's code is now resident."""
-        self.loaded_apps.add(app_id)
+        if app_id not in self.loaded_apps:
+            self.loaded_apps.add(app_id)
+            if self.container_db is not None:
+                self.container_db.runtime_loaded(self, app_id)
 
     def record_execution(self) -> None:
         """Account one offloaded execution inside this runtime (subclass
