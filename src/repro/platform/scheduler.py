@@ -585,7 +585,7 @@ class WarmPoolPredictor:
         """
         cfg = self.cfg
         bound = math.inf
-        if held:
+        if held and cfg.hold_s < math.inf:
             lapse = self._last_arrival[app_id] + cfg.hold_s
             bound = math.floor((lapse - now) / cfg.tick_s)
         demand = self.rates.rate(app_id) * self.boot_estimate_s() * HEADROOM

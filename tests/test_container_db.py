@@ -20,7 +20,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.hostos import CloudServer
+from repro.hostos import CloudServer, OutOfMemoryError
 from repro.platform import ContainerDB
 from repro.runtime import AndroidVM
 from repro.runtime.base import RuntimeState
@@ -69,7 +69,10 @@ class RegistryMachine(RuleBasedStateMachine):
         # Live migration: the destination restores and loads the apps
         # before its row exists.
         vm = self._new_vm()
-        vm.restore()
+        try:
+            vm.restore()
+        except OutOfMemoryError:
+            pass  # left STOPPED: its row joins no live index
         for app in sorted(apps):
             vm.mark_loaded(app)
         self.db.register(vm, owner_device=owner, now=self.env.now)

@@ -165,7 +165,7 @@ def scenarios(draw):
             tick_s=draw(st.sampled_from((0.5, 1.0, 5.0))),
             alpha=draw(st.sampled_from((0.2, 0.5, 1.0))),
             max_pool=draw(st.integers(1, 4)),
-            hold_s=draw(st.sampled_from((0.0, 3.0, 40.0, 400.0))),
+            hold_s=draw(st.sampled_from((0.0, 3.0, 40.0, 400.0, math.inf))),
             drain_ticks=draw(st.integers(1, 3)),
             pool_capacity=draw(st.sampled_from((None, 1, 3))),
             pool_floors=draw(st.sampled_from(((), (("chess", 1),), (("ocr", 2),)))),
