@@ -483,12 +483,10 @@ class WarmPoolPredictor:
         targets = self._targets
         was_held = self._held
         rates = self.rates.estimates
-        hold_s = self.cfg.hold_s
-        last_arrival = self._last_arrival
         #: apps whose target or hold flag moved: app -> (held, target)
         fresh: Dict[str, Tuple[bool, int]] = {}
         for app_id in aim:
-            held = now - last_arrival[app_id] <= hold_s
+            held = self._is_held(app_id, now)
             if held and was_held.get(app_id) and ticks <= until[app_id]:
                 # Still held and on its old bound: arrivals only raised
                 # the demand (and moved the lapse later), so the target
