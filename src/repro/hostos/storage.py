@@ -99,7 +99,8 @@ class StorageDevice:
         if virt_overhead < 1.0:
             raise ValueError("virt_overhead is a multiplier >= 1")
         with self._channel.request() as req:
-            yield req
+            if not req.triggered:  # queued behind another transfer
+                yield req
             yield self.env.timeout(self.service_time(nbytes, op) * virt_overhead)
         if op == "read":
             self.tracker.read(nbytes)
@@ -126,7 +127,8 @@ class StorageDevice:
         if n_ops == 0:
             return
         with self._channel.request() as req:
-            yield req
+            if not req.triggered:  # queued behind another transfer
+                yield req
             per_op = self.service_time(bytes_per_op, op)
             yield self.env.timeout(n_ops * per_op * virt_overhead)
         total = n_ops * bytes_per_op

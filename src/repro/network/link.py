@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 import numpy as np
 
-from ..obs import DEFAULT_COUNT_BUCKETS, metrics_of, trace_span
+from ..obs import DEFAULT_COUNT_BUCKETS, metrics_of, trace_span, tracer_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
@@ -33,13 +33,14 @@ MTU_BYTES = 1500
 class _Flow:
     """One transfer in flight on a :class:`FluidChannel`."""
 
-    __slots__ = ("remaining", "bps", "done", "tenant")
+    __slots__ = ("remaining", "bps", "done", "tenant", "joining")
 
-    def __init__(self, remaining: float, bps: float, done: "Event", tenant: str = ""):
+    def __init__(self, remaining: float, bps: float, tenant: str = ""):
         self.remaining = remaining  # wire bytes left to move
         self.bps = bps  # rate this flow would get alone
-        self.done = done
+        self.done: Optional["Event"] = None  # fires when the bytes drain
         self.tenant = tenant  # owning app id ("" = untagged)
+        self.joining = False  # in its latency phase, not yet on the medium
 
 
 class FluidChannel:
@@ -57,6 +58,13 @@ class FluidChannel:
     are identified *at arm time* with the exact float expression used
     for the minimum, so completion is exact — no epsilon tests against
     drifted byte counts.
+
+    A flow may start with a ``latency`` before it reaches the medium.
+    On a quiet channel the latency and the wire time *fold* into one
+    timer: ``done`` fires at ``(now + latency) + remaining * 1 / bps``,
+    the instant the latency timer and :meth:`_arm` would compute.  The
+    next :meth:`add` or :meth:`cancel` unfolds the flow into the state
+    it would have reached without the fold (see :meth:`_unfold`).
     """
 
     def __init__(self, env: "Environment"):
@@ -64,8 +72,14 @@ class FluidChannel:
         self._flows: List[_Flow] = []  # FIFO arrival order
         self._last = env.now  # when progress was last settled
         self._epoch = 0  # bumps on every flow-set change
-        #: high-water mark of concurrent flows (contention observability)
-        self.peak_flows = 0
+        self._joining = 0  # flows in their latency phase
+        self._peak = 0
+        #: the folded flow, its join instant, its timer's instant and
+        #: the tie-break slot of its join (None: it joined on arrival)
+        self._fold: Optional[_Flow] = None
+        self._fold_join = 0.0
+        self._fold_end = 0.0
+        self._fold_order: Optional[int] = None
 
     # -- kernel of the model ------------------------------------------------
     def _shares(self):
@@ -175,6 +189,73 @@ class FluidChannel:
         timer = self.env.timeout(max(dt, 0.0))
         timer.add_callback(lambda _ev: self._wake(epoch, finishers))
 
+    def _join(self, flow: _Flow) -> None:
+        """Put a flow whose latency has elapsed on the medium."""
+        self._settle()
+        if flow.remaining <= 0.0:
+            flow.done.succeed()
+        else:
+            self._flows.append(flow)
+            if len(self._flows) > self._peak:
+                self._peak = len(self._flows)
+            self._arm()
+        metrics = metrics_of(self.env)
+        if metrics is not None:
+            metrics.gauge("link.active_flows").set(self.active_flows)
+            metrics.histogram(
+                "link.concurrent_flows", bounds=DEFAULT_COUNT_BUCKETS
+            ).observe(self.active_flows)
+
+    def _arrive(self, flow: _Flow) -> None:
+        """A flow's latency timer fired; a cancelled flow stays away."""
+        if flow.joining:
+            flow.joining = False
+            self._joining -= 1
+            self._join(flow)
+
+    def _unfold(self) -> None:
+        """Give the folded flow the state it would have without the fold.
+
+        Called before any other flow arrives or leaves.  A flow that
+        has joined by now joined at its join instant, alone: the fold
+        timer is exactly the wake :meth:`_arm` would have armed then,
+        so it stays armed as that wake.  A flow still in its latency
+        phase gets its arrival scheduled at the exact join instant, in
+        the fold timer's tie-break slot — where a latency timer started
+        with the flow would sit.  Either way its waiters move to a
+        plain ``done`` event, which fires the way any flow's does.
+        """
+        flow = self._fold
+        self._fold = None
+        timer = flow.done
+        if timer.callbacks is None:  # processed: the flow has drained
+            if flow.remaining > 0.0:
+                self._peak = max(self._peak, 1)
+            return
+        env = self.env
+        join_at = self._fold_join
+        if self._fold_arrived():
+            if flow.remaining <= 0.0:
+                return  # drains on arrival: its timer completes it
+            self._peak = max(self._peak, 1)
+            self._last = join_at
+            self._flows.append(flow)
+            self._epoch += 1
+            epoch = self._epoch
+            flow.done = env.event()
+            timer.hand_over(flow.done)
+            timer.add_callback(lambda _ev: self._wake(epoch, [flow]))
+            return
+        flow.done = env.event()
+        timer.hand_over(flow.done)
+        flow.joining = True
+        self._joining += 1
+        if self._fold_end == join_at:
+            arrival = timer  # the slot is the timer's own
+        else:
+            arrival = env.timeout_at(join_at, order=self._fold_order)
+        arrival.add_callback(lambda _ev: self._arrive(flow))
+
     def _wake(self, epoch: int, finishers: List[_Flow]) -> None:
         if epoch != self._epoch:
             return  # flow set changed since this timer was armed
@@ -186,27 +267,93 @@ class FluidChannel:
         for f in finishers:
             f.done.succeed()
 
+    def _fold_arrived(self) -> bool:
+        """Whether the folded flow's latency has elapsed."""
+        order = self._fold_order
+        return order is None or self.env.has_processed(self._fold_join, order)
+
     # -- public API ---------------------------------------------------------
     @property
     def active_flows(self) -> int:
+        """Flows on the medium now (flows in their latency phase excluded)."""
+        fold = self._fold
+        if (
+            fold is not None
+            and fold.remaining > 0.0
+            and fold.done.callbacks is not None  # not drained yet
+            and self._fold_arrived()
+        ):
+            return 1
         return len(self._flows)
 
-    def add(self, nbytes: float, bps: float, tenant: str = "") -> _Flow:
-        """Start a flow; its ``done`` event fires when the bytes drain."""
-        self._settle()
-        flow = _Flow(float(nbytes), float(bps), self.env.event(), tenant)
-        if nbytes <= 0.0:
-            flow.done.succeed()
+    @property
+    def peak_flows(self) -> int:
+        """High-water mark of concurrent flows (contention observability)."""
+        fold = self._fold
+        if fold is not None and fold.remaining > 0.0 and self._fold_arrived():
+            return max(self._peak, 1)
+        return self._peak
+
+    def add(
+        self,
+        nbytes: float,
+        bps: float,
+        tenant: str = "",
+        latency: Optional[float] = None,
+    ) -> _Flow:
+        """Start a flow; its ``done`` event fires when the bytes drain.
+
+        With ``latency`` the flow reaches the medium when a timer of
+        that delay, started now, fires: exactly where a transfer that
+        sleeps through its latency and then adds the flow would join,
+        same-instant order included.  Without, it joins at once.
+
+        ``done`` may be replaced by a new event while the flow is in
+        flight (:meth:`_unfold` moves its waiters over): wait on it at
+        once, as :meth:`Link.transmit` does, rather than keep it.
+        """
+        if latency is not None and latency < 0:
+            raise ValueError(f"negative latency {latency!r}")
+        env = self.env
+        if self._fold is not None:
+            self._unfold()
+        flow = _Flow(float(nbytes), float(bps), tenant)
+        obs = env.obs
+        if (
+            not self._flows
+            and not self._joining
+            and env.tenancy is None
+            and (obs is None or obs.metrics is None)
+        ):
+            # Quiet channel: one timer at the instant the latency timer
+            # and _arm would produce, with their two float additions.
+            join_at = env.now if latency is None else env.now + latency
+            end = join_at
+            if flow.remaining > 0.0:
+                end = join_at + flow.remaining * 1 / flow.bps
+            self._fold = flow
+            self._fold_join = join_at
+            self._fold_end = end
+            self._fold_order = None if latency is None else env.event_count
+            flow.done = env.timeout_at(end)
             return flow
-        self._flows.append(flow)
-        if len(self._flows) > self.peak_flows:
-            self.peak_flows = len(self._flows)
-        self._arm()
+        flow.done = env.event()
+        if latency is None:
+            self._join(flow)
+        else:
+            flow.joining = True
+            self._joining += 1
+            env.timeout(latency).add_callback(lambda _ev: self._arrive(flow))
         return flow
 
     def cancel(self, flow: _Flow) -> None:
-        """Remove an in-flight flow (interrupted transfer)."""
-        if flow in self._flows:
+        """Remove a flow that has not drained (interrupted transfer)."""
+        if self._fold is not None:
+            self._unfold()
+        if flow.joining:
+            flow.joining = False
+            self._joining -= 1
+        elif flow in self._flows:
             self._settle()
             self._flows.remove(flow)
             self._arm()
@@ -336,18 +483,12 @@ class Link:
         bw = self._bw(direction)
         wire_bytes = self._effective_bytes(nbytes)
         latency = self.one_way_delay() * self.handshake_rounds
-        with trace_span(env, "transfer", who=f"{self.name}/{direction}"):
+        who = f"{self.name}/{direction}" if tracer_of(env) is not None else ""
+        with trace_span(env, "transfer", who=who):
             if self.shared_medium:
                 start = env.now
-                yield env.timeout(latency)
                 channel = self._channel_for(env)
-                flow = channel.add(wire_bytes, bw, tenant)
-                metrics = metrics_of(env)
-                if metrics is not None:
-                    metrics.gauge("link.active_flows").set(channel.active_flows)
-                    metrics.histogram(
-                        "link.concurrent_flows", bounds=DEFAULT_COUNT_BUCKETS
-                    ).observe(channel.active_flows)
+                flow = channel.add(wire_bytes, bw, tenant, latency=latency)
                 try:
                     yield flow.done
                 except BaseException:

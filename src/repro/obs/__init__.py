@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_COUNT_BUCKETS",
     "trace_span",
     "metrics_of",
+    "tracer_of",
     "enable_auto",
     "disable_auto",
     "auto_flags",
@@ -103,6 +104,12 @@ def trace_span(env: Environment, kind: str, who: str = "", trace: str = ""):
     if obs is None or obs.tracer is None:
         return _NULL_SPAN
     return obs.tracer.span(kind, who, trace)
+
+
+def tracer_of(env: Environment) -> Optional[Tracer]:
+    """The environment's tracer, or ``None`` when tracing is off."""
+    obs = env.obs
+    return None if obs is None else obs.tracer
 
 
 def metrics_of(env: Environment) -> Optional[MetricsRegistry]:

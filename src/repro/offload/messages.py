@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..workloads.base import WorkloadProfile
@@ -46,12 +46,31 @@ class Message:
             raise ValueError("message size must be >= 0")
 
 
-def upload_messages(profile: "WorkloadProfile", include_code: bool) -> List[Message]:
+#: memoized messages per (profile, include_code) and per profile:
+#: profiles and messages are frozen, so every request of an app can
+#: share one tuple instead of building fresh messages
+_UPLOADS: Dict[Tuple["WorkloadProfile", bool], Tuple[Message, ...]] = {}
+_RESULTS: Dict["WorkloadProfile", Message] = {}
+
+
+def upload_messages(
+    profile: "WorkloadProfile", include_code: bool
+) -> Tuple[Message, ...]:
     """Messages a client uploads for one offloading request.
 
     ``include_code`` is True when the target runtime (or, with the App
     Warehouse, the whole platform) has never seen this app's code.
     """
+    key = (profile, include_code)
+    msgs = _UPLOADS.get(key)
+    if msgs is None:
+        msgs = _UPLOADS[key] = _build_uploads(profile, include_code)
+    return msgs
+
+
+def _build_uploads(
+    profile: "WorkloadProfile", include_code: bool
+) -> Tuple[Message, ...]:
     msgs: List[Message] = []
     if include_code:
         msgs.append(
@@ -80,14 +99,17 @@ def upload_messages(profile: "WorkloadProfile", include_code: bool) -> List[Mess
             description="offloading control",
         )
     )
-    return msgs
+    return tuple(msgs)
 
 
 def result_message(profile: "WorkloadProfile") -> Message:
     """The downloaded execution result."""
-    return Message(
-        kind=MessageKind.RESULT.value,
-        size_bytes=int(profile.result_size_kb * KB),
-        app_id=profile.name,
-        description="execution result",
-    )
+    msg = _RESULTS.get(profile)
+    if msg is None:
+        msg = _RESULTS[profile] = Message(
+            kind=MessageKind.RESULT.value,
+            size_bytes=int(profile.result_size_kb * KB),
+            app_id=profile.name,
+            description="execution result",
+        )
+    return msg

@@ -33,21 +33,30 @@ class Phase(str, enum.Enum):
     EXECUTION = "computation_execution"
 
 
+#: the phases' value strings, in declaration order
+_PHASE_KEYS = tuple(p.value for p in Phase)
+
+
 class PhaseTimeline:
-    """Accumulates per-phase durations for one request."""
+    """Accumulates per-phase durations for one request.
+
+    Keyed by each phase's value string, read as the member's plain
+    ``_value_`` attribute: ``Phase.value`` is a descriptor call, and
+    every request adds to its timeline several times.
+    """
 
     def __init__(self) -> None:
-        self._durations: Dict[str, float] = {p.value: 0.0 for p in Phase}
+        self._durations: Dict[str, float] = dict.fromkeys(_PHASE_KEYS, 0.0)
 
     def add(self, phase: Phase, seconds: float) -> None:
         """Accumulate ``seconds`` into one phase."""
         if seconds < 0:
             raise ValueError(f"negative duration for {phase}")
-        self._durations[phase.value] += seconds
+        self._durations[phase._value_] += seconds
 
     def get(self, phase: Phase) -> float:
         """Accumulated duration of one phase."""
-        return self._durations[phase.value]
+        return self._durations[phase._value_]
 
     @property
     def total(self) -> float:

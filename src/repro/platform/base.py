@@ -338,7 +338,7 @@ class CloudPlatform:
                 yield from send_messages(
                     env,
                     link,
-                    [result_msg],
+                    (result_msg,),
                     "down",
                     self.transfer_log,
                     tenant=request.app_id,

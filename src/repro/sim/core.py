@@ -14,7 +14,7 @@ import heapq
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import AllOf, AnyOf, Event, EventState, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
@@ -59,6 +59,9 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0  # tie-breaker keeps FIFO order for simultaneous events
+        #: tie-break slot of the event being (or last) processed; at
+        #: ``now`` every slot up to it has been processed
+        self._slot = -1
         self._active_process: Optional[Process] = None
         #: recycled Timeout instances (see the run-loop refcount check)
         self._timeout_pool: List[Timeout] = []
@@ -107,6 +110,42 @@ class Environment:
             return pool.pop()._reinit(delay, value)
         return Timeout(self, delay, value)
 
+    def timeout_at(
+        self, when: float, value: Any = None, order: Optional[int] = None
+    ) -> Timeout:
+        """An event that fires at the absolute instant ``when``, exactly.
+
+        ``timeout(when - now)`` lands on ``now + (when - now)``, which
+        need not round back to ``when``; this schedules ``when`` itself.
+
+        ``order`` sets the tie-break among events at the same instant.
+        By default the timeout takes the next :attr:`event_count` slot,
+        like any new event.  An earlier ``order`` places it as if it had
+        been scheduled when :attr:`event_count` read ``order``; no other
+        event pending at ``when`` may hold that slot.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"timeout_at({when!r}) lies in the past (now={self._now!r})"
+            )
+        if order is None:
+            order = self._seq
+            self._seq += 1
+        elif not 0 <= order < self._seq:
+            raise ValueError(f"order {order!r} is not a slot already taken")
+        pool = self._timeout_pool
+        timeout = pool.pop() if pool else Timeout.__new__(Timeout)
+        # Armed in place, as Timeout._reinit does for a relative delay.
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._value = value
+        timeout._exception = None
+        timeout.defused = False
+        timeout.delay = when - self._now
+        timeout._state = EventState.TRIGGERED
+        heapq.heappush(self._queue, (when, order, timeout))
+        return timeout
+
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a concurrently running process."""
         return Process(self, generator)
@@ -138,12 +177,13 @@ class Environment:
     def step(self) -> None:
         """Pop and process a single event."""
         try:
-            when, _, event = heapq.heappop(self._queue)
+            when, slot, event = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
         if when < self._now:  # pragma: no cover - heap invariant
             raise SimulationError("event scheduled in the past")
         self._now = when
+        self._slot = slot
         event._process()
         # Surface failures nobody waited on: silent loss hides model bugs.
         if event.exception is not None and not event.defused:
@@ -189,15 +229,15 @@ class Environment:
             while True:
                 if not queue:
                     if horizon != float("inf"):
-                        self._now = horizon
+                        self._stop_at(horizon)
                         break
                     raise EmptySchedule()
                 when = queue[0][0]
                 if when > horizon:
-                    self._now = horizon
+                    self._stop_at(horizon)
                     break
                 if fast:
-                    _, _, event = pop(queue)
+                    _, self._slot, event = pop(queue)
                     self._now = when
                     event._process()
                     # Surface failures nobody waited on: silent loss hides
@@ -227,6 +267,18 @@ class Environment:
         if stop_event is not None:
             return stop_event.value if stop_event.triggered else None
         return None
+
+    def _stop_at(self, horizon: float) -> None:
+        """Park the clock at a run horizon; every slot taken so far
+        counts as processed there (see :meth:`has_processed`)."""
+        self._now = horizon
+        self._slot = self._seq - 1
+
+    def has_processed(self, when: float, order: int) -> bool:
+        """Whether an event at ``when`` in tie-break slot ``order``
+        would have been processed by now — the question a model that
+        elides such an event (see :meth:`timeout_at`) must answer."""
+        return when < self._now or (when == self._now and order <= self._slot)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

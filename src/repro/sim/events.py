@@ -154,6 +154,25 @@ class Event:
         else:
             self.callbacks.append(fn)
 
+    def hand_over(self, other: "Event") -> None:
+        """Move this pending event's waiters onto ``other``.
+
+        Every callback moves, in order, and a process suspended on this
+        event is re-targeted to ``other``, so
+        :meth:`~repro.sim.process.Process.interrupt` detaches it from
+        ``other`` and it resumes once, when ``other`` is processed.
+        This event still fires on schedule, now with no waiter.
+        """
+        callbacks = self.callbacks
+        if callbacks is None:
+            raise SimulationError("cannot hand over the waiters of a processed event")
+        self.callbacks = []
+        for fn in callbacks:
+            waiter = getattr(fn, "__self__", None)
+            if getattr(waiter, "_target", None) is self:
+                waiter._target = other
+            other.add_callback(fn)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} state={self._state.value}>"
 

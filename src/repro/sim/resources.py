@@ -17,7 +17,7 @@ from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from .events import Event
+from .events import Event, EventState
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
@@ -58,7 +58,9 @@ class Request(Event):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.triggered:
-            self.resource.release(self)
+            # Nobody waits on a context-managed release: free the slot
+            # without scheduling a Release event.
+            self.resource._free(self)
         else:
             self.cancel()
 
@@ -99,18 +101,32 @@ class Resource:
 
     def release(self, request: Request) -> Release:
         """Free a granted slot, waking the next waiter."""
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_waiters()
+        self._free(request)
         rel = Release(self.env)
         rel.succeed()
         return rel
 
     # -- internals -----------------------------------------------------------
+    def _free(self, request: Request) -> None:
+        if request in self._users:
+            self._users.remove(request)
+            self._grant_waiters()
+
+    def _grant(self, request: Request) -> None:
+        """Grant an uncontended request on the spot.
+
+        No heap event: the request is processed at creation, so a
+        process that yields it resumes at once, and a caller that sees
+        ``request.triggered`` need not yield it at all.
+        """
+        self._users.append(request)
+        request._value = request
+        request._state = EventState.PROCESSED
+        request.callbacks = None
+
     def _do_request(self, request: Request) -> None:
         if len(self._users) < self._capacity:
-            self._users.append(request)
-            request.succeed(request)
+            self._grant(request)
         else:
             self._queue.append(request)
 
@@ -159,8 +175,7 @@ class PriorityResource(Resource):
     def _do_request(self, request: Request) -> None:
         """Claim a slot with a priority (lower = served first)."""
         if len(self._users) < self._capacity:
-            self._users.append(request)
-            request.succeed(request)
+            self._grant(request)
         else:
             # insort keeps the queue ordered without re-sorting it on
             # every arrival (the old O(n log n) per request).

@@ -10,14 +10,19 @@ two invariants the analytic fluid model promises:
 - **FIFO completion within a size class** — with fair sharing and equal
   per-flow rates, an earlier arrival of the same size never finishes
   after a later one.
+
+A hypothesis property then pins the quiet-channel latency fold to a
+reference model without it, bit for bit.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.link import FluidChannel
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 BPS = 1_000_000.0
 SIZES = (20_000.0, 125_000.0, 400_000.0)
@@ -137,3 +142,207 @@ def test_equal_flows_share_fairly():
     assert env.now == pytest.approx(4 * 100_000.0 / BPS)
     assert all(f.done.triggered for f in flows)
     assert channel.active_flows == 0
+
+
+# -- latency folding against a reference model ----------------------------------
+#
+# ``FluidChannel.add(..., latency=L)`` folds a lone flow's latency and
+# wire time into one timer and unfolds it when the flow set changes.
+# The reference below is the model without either: a transfer sleeps
+# through its latency (``yield env.timeout(L)``), then joins a channel
+# that re-apportions on every change.  Random schedules of both must
+# complete every flow at the bit-same instant.
+
+
+class _ReferenceFlow:
+    def __init__(self, remaining, bps, done):
+        self.remaining = remaining
+        self.bps = bps
+        self.done = done
+
+
+class _ReferenceChannel:
+    """Equal-split fluid channel with no latency and no fold."""
+
+    def __init__(self, env):
+        self.env = env
+        self.flows = []
+        self.last = env.now
+        self.epoch = 0
+        self.peak_flows = 0
+
+    def _settle(self):
+        now = self.env.now
+        dt = now - self.last
+        if dt > 0.0 and self.flows:
+            n = len(self.flows)
+            for f in self.flows:
+                f.remaining -= dt * f.bps / n
+        self.last = now
+
+    def _arm(self):
+        self.epoch += 1
+        if not self.flows:
+            return
+        n = len(self.flows)
+        dt = min(f.remaining * n / f.bps for f in self.flows)
+        finishers = [f for f in self.flows if f.remaining * n / f.bps == dt]
+        epoch = self.epoch
+        timer = self.env.timeout(max(dt, 0.0))
+        timer.add_callback(lambda _ev: self._wake(epoch, finishers))
+
+    def _wake(self, epoch, finishers):
+        if epoch != self.epoch:
+            return
+        self._settle()
+        for f in finishers:
+            f.remaining = 0.0
+            self.flows.remove(f)
+        self._arm()
+        for f in finishers:
+            f.done.succeed()
+
+    def add(self, nbytes, bps):
+        self._settle()
+        flow = _ReferenceFlow(float(nbytes), float(bps), self.env.event())
+        if nbytes <= 0.0:
+            flow.done.succeed()
+            return flow
+        self.flows.append(flow)
+        self.peak_flows = max(self.peak_flows, len(self.flows))
+        self._arm()
+        return flow
+
+    def cancel(self, flow):
+        if flow in self.flows:
+            self._settle()
+            self.flows.remove(flow)
+            self._arm()
+
+
+# Coarse grids make exact ties (a start on another flow's join or
+# completion instant) likely; sizes include zero-byte flows.
+_STARTS = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+_LATENCIES = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.1, 0.125]),
+    st.floats(0.0, 0.3, allow_nan=False),
+)
+_SIZES = st.sampled_from([0.0, 1_000.0, 25_000.0, 100_000.0, 125_000.0, 333_333.0])
+#: when to cancel: never, mid-latency (fraction of it), exactly at the
+#: join, exactly at the flow's uncancelled completion, or at a time
+_CANCELS = st.one_of(
+    st.none(),
+    st.tuples(st.just("latency"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.just(("join",)),
+    st.just(("done",)),
+    st.tuples(st.just("at"), st.floats(0.0, 1.5, allow_nan=False)),
+)
+_SCHEDULES = st.lists(
+    st.tuples(_STARTS, _LATENCIES, _SIZES, _CANCELS), min_size=1, max_size=8
+)
+
+
+def _run_schedule(schedule, folded, done_at=None):
+    """Drive ``schedule`` through one model.
+
+    Returns ``(ends, peak_flows, active_flows)``: ``ends[i]`` is the
+    instant flow ``i``'s transfer ended, drained or cancelled.
+    ``done_at`` gives each flow's completion instant for ``("done",)``
+    cancels (taken from an uncancelled run).
+    """
+    env = Environment()
+    channel = FluidChannel(env) if folded else _ReferenceChannel(env)
+    ends = [None] * len(schedule)
+
+    def transfer(env, i, start, latency, size, cancel):
+        yield env.timeout(start)
+        proc = env.active_process
+        try:
+            if folded:
+                flow = channel.add(size, BPS, latency=latency)
+            else:
+                arrival = env.timeout(latency)
+            # The canceller is set up after the transfer started, so at
+            # a tie with the join it lands after it in both models.
+            when = None
+            if cancel is not None:
+                kind = cancel[0]
+                if kind == "latency":
+                    when = env.now + latency * cancel[1]
+                elif kind == "join":
+                    when = env.now + latency
+                elif kind == "done":
+                    when = done_at[i] if done_at is not None else None
+                else:
+                    when = max(cancel[1], env.now)
+            if when is not None:
+                def interrupt(_ev):
+                    if proc.is_alive:
+                        proc.interrupt("cancel")
+
+                env.timeout_at(when).add_callback(interrupt)
+            if not folded:
+                yield arrival
+                flow = channel.add(size, BPS)
+            try:
+                yield flow.done
+            except Interrupt:
+                channel.cancel(flow)
+                raise
+        except Interrupt:
+            pass
+        ends[i] = env.now
+
+    for i, spec in enumerate(schedule):
+        env.process(transfer(env, i, *spec))
+    env.run()
+    active = channel.active_flows if folded else len(channel.flows)
+    return ends, channel.peak_flows, active
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCHEDULES)
+def test_folded_channel_matches_reference_bit_for_bit(schedule):
+    uncancelled = [spec[:3] + (None,) for spec in schedule]
+    done_at, _, _ = _run_schedule(uncancelled, folded=False)
+    reference = _run_schedule(schedule, folded=False, done_at=done_at)
+    folded = _run_schedule(schedule, folded=True, done_at=done_at)
+    assert folded == reference
+    assert folded[2] == 0
+
+
+def test_lone_transfer_costs_one_event():
+    """A flow on a quiet channel schedules its completion timer only."""
+    env = Environment()
+    channel = FluidChannel(env)
+    before = env.event_count
+    flow = channel.add(125_000.0, BPS, latency=0.05)
+    assert env.event_count == before + 1
+    env.run()
+    assert env.now == (0.0 + 0.05) + 125_000.0 * 1 / BPS
+    assert flow.done.processed and channel.peak_flows == 1
+
+
+def test_second_flow_unfolds_the_first():
+    env = Environment()
+    channel = FluidChannel(env)
+    first = channel.add(100_000.0, BPS, latency=0.1)
+    ends = {}
+
+    def later(env):
+        yield env.timeout(0.15)
+        second = channel.add(100_000.0, BPS)
+        assert channel.active_flows == 2
+        yield second.done
+        ends["second"] = env.now
+
+    env.process(later(env))
+    first.done.add_callback(lambda _ev: ends.setdefault("first", env.now))
+    env.run()
+    # first: 0.05 s alone, then both share until it drains.
+    assert ends["first"] == pytest.approx(0.1 + 0.05 + 2 * 0.05)
+    assert ends["second"] == pytest.approx(0.25 + 0.05)
+    assert channel.peak_flows == 2 and channel.active_flows == 0

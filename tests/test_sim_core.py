@@ -473,3 +473,92 @@ def test_many_processes_scale():
     env.run()
     assert len(done) == 1000
     assert done == sorted(done)
+
+
+# -- absolute-time schedule and waiter hand-over --------------------------------
+
+
+def test_timeout_at_lands_exactly_on_when():
+    now, when = 1.171, 3.376
+    assert now + (when - now) != when  # a relative delay would miss it
+    env = Environment()
+    env.run(until=now)
+    fired = []
+    env.timeout_at(when).add_callback(lambda ev: fired.append(ev.env.now))
+    env.run()
+    assert fired == [when]
+
+
+def test_timeout_at_rejects_the_past_and_untaken_slots():
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(3.0, order=env.event_count)
+
+
+def test_timeout_at_order_reuses_an_earlier_slot():
+    env = Environment()
+    order = []
+    slot = env.event_count
+    env.timeout(5.0).add_callback(lambda _ev: order.append("holder"))
+    env.timeout(1.0).add_callback(lambda _ev: order.append("later"))
+    # Placed as if scheduled before "later", although created after it.
+    env.timeout_at(1.0, order=slot).add_callback(lambda _ev: order.append("slot"))
+    env.run()
+    assert order == ["slot", "later", "holder"]
+
+
+def test_hand_over_moves_waiters_and_resumes_once():
+    env = Environment()
+    first, second = env.event(), env.event()
+    seen = []
+
+    def waiter(env):
+        seen.append((yield first))
+
+    proc = env.process(waiter(env))
+    env.run(until=0.0)
+    assert proc.target is first
+    first.hand_over(second)
+    assert proc.target is second
+    first.succeed("stale")
+    env.run()
+    assert seen == [] and proc.is_alive  # the old event no longer wakes it
+    second.succeed("fresh")
+    env.run()
+    assert seen == ["fresh"] and not proc.is_alive
+
+
+def test_interrupt_after_hand_over_detaches_cleanly():
+    env = Environment()
+    first = env.timeout(1.0)
+    second = env.event()
+    resumes = []
+
+    def waiter(env):
+        try:
+            yield first
+            resumes.append("first")
+        except Interrupt as exc:
+            resumes.append(exc.cause)
+        yield env.timeout(5.0)
+
+    proc = env.process(waiter(env))
+    env.run(until=0.5)
+    first.hand_over(second)
+    proc.interrupt("gone")
+    env.run(until=2.0)
+    second.succeed()  # fires with the process detached from it
+    env.run()
+    assert resumes == ["gone"]
+    assert env.now == 5.5 and not proc.is_alive
+
+
+def test_hand_over_of_a_processed_event_is_an_error():
+    env = Environment()
+    ev = env.event().succeed()
+    env.run()
+    with pytest.raises(SimulationError):
+        ev.hand_over(env.event())

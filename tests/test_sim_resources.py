@@ -72,6 +72,40 @@ def test_resource_release_wakes_waiter():
     assert times == [0.0, 3.0]
 
 
+def test_uncontended_request_is_granted_without_a_heap_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    before = env.event_count
+    req = res.request()
+    assert req.processed and req.value is req
+    assert env.event_count == before  # nothing was scheduled
+    queued = res.request()
+    assert not queued.triggered
+    with req:
+        pass  # the context exit frees the slot without a Release event
+    assert env.event_count == before + 1  # only the waiter's grant
+    assert queued.triggered and res.count == 1
+    rel = res.release(queued)  # the public release still returns one
+    assert rel.triggered and res.count == 0
+
+
+def test_yielding_a_granted_request_resumes_at_once():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    steps = []
+
+    def worker(env):
+        with res.request() as req:
+            yield req
+            steps.append(env.now)
+            yield env.timeout(2)
+        steps.append(env.now)
+
+    env.process(worker(env))
+    env.run()
+    assert steps == [0.0, 2.0] and res.count == 0
+
+
 def test_resource_context_manager_releases_on_exception():
     env = Environment()
     res = Resource(env, capacity=1)
