@@ -43,6 +43,7 @@ from ..platform import ClusterPlatform, RattrapPlatform
 from ..sim import Environment
 from ..traces import LiveLabConfig, generate_livelab_trace, trace_to_plans
 from ..workloads import CHESS_GAME, VIRUS_SCAN
+from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "ARMS", "SHAPES"]
 
@@ -222,12 +223,7 @@ def _repeat_cell(arm: str, seed: int = 1, smoke: bool = False) -> Dict[str, Any]
             [env.process(prime(env, tracers[i : i + 2]))
              for i in range(0, len(tracers), 2)]
         )
-        procs = []
-        for i, request in enumerate(requests):
-            if request.submitted_at > env.now:
-                yield env.timeout(request.submitted_at - env.now)
-            procs.append(cluster.submit(request, aps[i % ACCESS_POINTS]))
-        yield env.all_of(procs)
+        yield from open_loop_feeder(env, cluster, requests, aps)
 
     wall0 = time.perf_counter()
     env.run(until=env.process(feeder(env)))

@@ -9,11 +9,22 @@ platform names mirror §VI-A: ``vm`` (Android-x86/VirtualBox cloud),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analysis import phase_means
 from ..network import make_link
 from ..offload import MobileDevice, PowerModel, RequestResult, run_inflow_experiment
+from ..offload.request import OffloadRequest
 from ..platform import CloudPlatform, RattrapPlatform, VMCloudPlatform
 from ..sim import Environment
 from ..workloads import ALL_WORKLOADS, WorkloadProfile, generate_inflow, get_profile
@@ -24,6 +35,7 @@ __all__ = [
     "build_platform",
     "ExperimentRun",
     "run_workload_experiment",
+    "open_loop_feeder",
     "DEVICES",
     "REQUESTS_PER_DEVICE",
     "workload_platform_cells",
@@ -120,6 +132,28 @@ def run_workload_experiment(
         results=results,
         devices=device_map,
     )
+
+
+def open_loop_feeder(
+    env: Environment,
+    target: Any,
+    requests: Iterable[OffloadRequest],
+    links: Sequence[Any],
+) -> Generator:
+    """Process generator: submit each request at its ``submitted_at``.
+
+    Requests go to ``target.submit`` (a platform or a cluster) in
+    order, round-robin over ``links``; the generator returns once every
+    submission has completed.  Unlike
+    :func:`~repro.offload.client.replay_inflow`, which starts a process
+    per request, one process sleeps through the whole inflow.
+    """
+    procs = []
+    for i, request in enumerate(requests):
+        if request.submitted_at > env.now:
+            yield env.timeout(request.submitted_at - env.now)
+        procs.append(target.submit(request, links[i % len(links)]))
+    yield env.all_of(procs)
 
 
 # --------------------------------------------------------------- cell scaffolding

@@ -58,6 +58,7 @@ from ..platform.population import per_request_bytes
 from ..sim import Environment
 from ..sim.shard import EpochStats, ShardRunner, run_sharded
 from ..workloads import VIRUS_SCAN
+from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "MEGA_ZONES", "MEGA_DEVICES_PER_ZONE"]
 
@@ -181,13 +182,8 @@ def _anchor_discrete(seed: int, n: int, rate: float) -> Dict[str, Any]:
     def driver(env):
         yield platform.submit(_request(0, 0, 0.0), ap)
         start = env.now + ANCHOR_GAP_S
-        procs = []
-        for i in range(n):
-            t = start + i / rate
-            if t > env.now:
-                yield env.timeout(t - env.now)
-            procs.append(platform.submit(_request(0, i + 1, t), ap))
-        yield env.all_of(procs)
+        requests = (_request(0, i + 1, start + i / rate) for i in range(n))
+        yield from open_loop_feeder(env, platform, requests, [ap])
 
     env.run(until=env.process(driver(env)))
     results = platform.completed()

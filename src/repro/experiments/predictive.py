@@ -45,6 +45,7 @@ from ..platform.dispatcher import Dispatcher
 from ..sim import Environment
 from ..traces import LiveLabConfig, generate_livelab_trace, replay_trace, trace_to_plans
 from ..workloads import CHESS_GAME, VIRUS_SCAN
+from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "SCENARIOS", "ARMS"]
 
@@ -142,15 +143,7 @@ def _waves_cell(arm: str, seed: int = 1) -> Dict[str, Any]:
         for d in range(WAVE_DEVICES)
     ]
 
-    def feeder(env):
-        procs = []
-        for i, request in enumerate(requests):
-            if request.submitted_at > env.now:
-                yield env.timeout(request.submitted_at - env.now)
-            procs.append(cluster.submit(request, aps[i % ACCESS_POINTS]))
-        yield env.all_of(procs)
-
-    env.run(until=env.process(feeder(env)))
+    env.run(until=env.process(open_loop_feeder(env, cluster, requests, aps)))
     return _stats(cluster.completed(), [n.dispatcher for n in cluster.nodes])
 
 

@@ -39,6 +39,7 @@ from ..offload.request import OffloadRequest
 from ..platform import ClusterPlatform, RattrapPlatform
 from ..sim import Environment
 from ..workloads import VIRUS_SCAN
+from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "DEVICE_STEPS", "SMOKE_STEPS"]
 
@@ -90,16 +91,8 @@ def _scale_cell(devices: int, seed: int = 1) -> Dict[str, Any]:
         for i in range(devices)
     ]
 
-    def feeder(env):
-        procs = []
-        for i, request in enumerate(requests):
-            if request.submitted_at > env.now:
-                yield env.timeout(request.submitted_at - env.now)
-            procs.append(cluster.submit(request, aps[i % ACCESS_POINTS]))
-        yield env.all_of(procs)
-
     wall0 = time.perf_counter()
-    env.run(until=env.process(feeder(env)))
+    env.run(until=env.process(open_loop_feeder(env, cluster, requests, aps)))
     wall_s = time.perf_counter() - wall0
 
     completed = cluster.completed()

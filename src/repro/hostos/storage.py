@@ -137,10 +137,6 @@ class StorageDevice:
         else:
             self.tracker.write(total)
 
-    @property
-    def queue_length(self) -> int:
-        return self._channel.queue_length
-
 
 def hdd(env: "Environment", capacity_gb: float = 300.0) -> StorageDevice:
     """The servers' 7.2k-rpm HDD (§V): ~140 MB/s sequential, ~8 ms seek."""

@@ -39,7 +39,7 @@ pools and dashboards behave as if the crowd were discrete.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..obs import metrics_of
 from ..offload.messages import result_message, upload_messages
@@ -199,17 +199,6 @@ class PopulationSource:
     def cache_hits(self) -> int:
         """Cache hits settled into the counters so far."""
         return self._settled_hits
-
-    # -- the discrete twin ----------------------------------------------------
-    def discrete_schedule(self) -> Iterator[Tuple[int, float]]:
-        """``(index, submit_time)`` pairs for the fully discrete model.
-
-        The anchor-cell methodology runs this exact schedule through
-        the real serve path and compares conserved totals against the
-        aggregate — same devices, same instants, entity by entity.
-        """
-        for i in range(self.n):
-            yield i, self.arrival_time(i)
 
     # -- aggregate accounting -------------------------------------------------
     def total_bytes_up(self) -> int:

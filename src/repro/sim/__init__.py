@@ -5,8 +5,8 @@ Public surface:
 - :class:`Environment` — clock + event heap + run loop
 - :class:`Process` / :class:`Interrupt` — generator processes
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`
-- :class:`Resource`, :class:`PriorityResource`, :class:`Container`,
-  :class:`Store` — contention primitives
+- :class:`Resource` / :class:`Request` — a FIFO slot pool (the disk
+  channel's contention point)
 - monitors (:class:`TimeSeries`, :class:`UtilizationTracker`, ...)
 - :class:`RandomStreams` — named seeded RNG streams
 - sharding (:class:`ShardRunner`, :func:`run_sharded`) — conservative
@@ -14,7 +14,6 @@ Public surface:
 """
 
 from .core import Environment, StopSimulation
-from .debug import EventTracer, TraceEntry
 from .events import (
     AllOf,
     AnyOf,
@@ -27,15 +26,7 @@ from .events import (
 )
 from .monitor import Counter, RateTracker, TimeSeries, UtilizationTracker
 from .process import Process
-from .resources import (
-    Container,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Request, Resource
 from .rng import RandomStreams
 from .shard import (
     CausalityError,
@@ -59,19 +50,12 @@ __all__ = [
     "SimulationError",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
-    "PriorityRequest",
-    "Release",
-    "Container",
-    "Store",
     "TimeSeries",
     "Counter",
     "UtilizationTracker",
     "RateTracker",
     "RandomStreams",
-    "EventTracer",
-    "TraceEntry",
     "CausalityError",
     "ShardMessage",
     "ShardRunner",

@@ -174,21 +174,6 @@ class Environment:
         """
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Pop and process a single event."""
-        try:
-            when, slot, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        if when < self._now:  # pragma: no cover - heap invariant
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self._slot = slot
-        event._process()
-        # Surface failures nobody waited on: silent loss hides model bugs.
-        if event.exception is not None and not event.defused:
-            raise event.exception
-
     # -- run loop -----------------------------------------------------------------
     def run(self, until: "float | Event | None" = None) -> Any:
         """Advance the simulation.
@@ -218,13 +203,10 @@ class Environment:
                 )
 
         # Hot loop: the whole simulation funnels through here, so the heap
-        # is popped directly instead of via peek()/step() round trips —
-        # unless step() has been overridden (e.g. an attached EventTracer),
-        # in which case every event must still flow through it.
+        # is popped directly instead of via a per-event method call.
         queue = self._queue
         pop = heapq.heappop
         pool = self._timeout_pool
-        fast = "step" not in self.__dict__ and type(self).step is Environment.step
         try:
             while True:
                 if not queue:
@@ -236,27 +218,24 @@ class Environment:
                 if when > horizon:
                     self._stop_at(horizon)
                     break
-                if fast:
-                    _, self._slot, event = pop(queue)
-                    self._now = when
-                    event._process()
-                    # Surface failures nobody waited on: silent loss hides
-                    # model bugs (same policy as step()).
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    # Recycle dead Timeouts.  refcount == 2 (the loop
-                    # local + the getrefcount argument) proves nothing
-                    # else still holds the event — condition events,
-                    # interrupt bookkeeping or user code would each add
-                    # a reference and veto the recycle.
-                    if (
-                        type(event) is Timeout
-                        and len(pool) < _TIMEOUT_POOL_CAP
-                        and getrefcount(event) == 2
-                    ):
-                        pool.append(event)
-                else:
-                    self.step()
+                _, self._slot, event = pop(queue)
+                self._now = when
+                event._process()
+                # Surface failures nobody waited on: silent loss hides
+                # model bugs.
+                if event._exception is not None and not event.defused:
+                    raise event._exception
+                # Recycle dead Timeouts.  refcount == 2 (the loop local +
+                # the getrefcount argument) proves nothing else still
+                # holds the event — condition events, interrupt
+                # bookkeeping or user code would each add a reference
+                # and veto the recycle.
+                if (
+                    type(event) is Timeout
+                    and len(pool) < _TIMEOUT_POOL_CAP
+                    and getrefcount(event) == 2
+                ):
+                    pool.append(event)
         except EmptySchedule:
             if stop_event is not None and not stop_event.triggered:
                 raise SimulationError(

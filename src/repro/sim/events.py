@@ -130,13 +130,6 @@ class Event:
         self.env._enqueue(self, delay=0.0)
         return self
 
-    def trigger(self, source: "Event") -> None:
-        """Copy the outcome of ``source`` onto this event (condition glue)."""
-        if source._exception is not None:
-            self.fail(source._exception)
-        else:
-            self.succeed(source._value)
-
     # -- processing (kernel internal) ---------------------------------------
     def _process(self) -> None:
         """Run callbacks; called exactly once by the environment."""

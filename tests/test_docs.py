@@ -101,3 +101,22 @@ def test_tutorial_platform_variant_snippet_runs():
     # the code; with it the code travels once.
     assert uploaded["NoCacheRattrap"] > uploaded["RattrapPlatform"]
     assert uploaded["ExclusiveIORattrap"] == uploaded["RattrapPlatform"]
+
+
+def test_doc_import_lines_import():
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    line = re.compile(r"^\s*((?:from|import) repro\b.*)$", re.M)
+    imports = [
+        (doc.relative_to(ROOT), stmt.strip())
+        for doc in docs
+        for stmt in line.findall(doc.read_text(encoding="utf-8"))
+    ]
+    assert len(imports) >= 25, "the scan found too few repro imports in the docs"
+    broken = []
+    for doc, stmt in imports:
+        try:
+            exec(compile(stmt, str(doc), "exec"), {})
+        except Exception as exc:  # report every bad line, not the first
+            broken.append(f"{doc}: {stmt} ({type(exc).__name__}: {exc})")
+    assert not broken, "\n".join(broken)

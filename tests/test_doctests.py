@@ -11,7 +11,6 @@ import pytest
 import repro
 import repro.network.scenarios
 import repro.sim.core
-import repro.sim.debug
 import repro.sim.rng
 import repro.sim.shard
 
@@ -19,7 +18,6 @@ MODULES = [
     repro,
     repro.sim.core,
     repro.sim.rng,
-    repro.sim.debug,
     repro.sim.shard,
     repro.network.scenarios,
 ]

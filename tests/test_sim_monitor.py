@@ -208,71 +208,3 @@ def test_streams_reset_restarts_sequences():
     s.get("x").random()
     s.reset()
     assert s.get("x").random() == first
-
-
-# -------------------------------------------------------------- EventTracer
-def test_event_tracer_records_processed_events():
-    from repro.sim import Environment, EventTracer
-
-    env = Environment()
-    tracer = EventTracer(env)
-
-    def proc(env):
-        yield env.timeout(1.0)
-        yield env.timeout(2.0)
-
-    env.process(proc(env))
-    env.run()
-    counts = tracer.counts()
-    assert counts.get("Timeout", 0) == 2
-    assert counts.get("Process", 0) == 1
-    assert len(tracer) >= 3
-    assert tracer.failures() == []
-
-
-def test_event_tracer_detach_stops_recording():
-    from repro.sim import Environment, EventTracer
-
-    env = Environment()
-    tracer = EventTracer(env)
-    env.timeout(1.0)
-    env.run()
-    n = len(tracer)
-    tracer.detach()
-    env.timeout(1.0)
-    env.run()
-    assert len(tracer) == n
-
-
-def test_event_tracer_caps_entries():
-    from repro.sim import Environment, EventTracer
-
-    env = Environment()
-    tracer = EventTracer(env, max_entries=5)
-    for _ in range(20):
-        env.timeout(1.0)
-    env.run()
-    assert len(tracer) == 5
-    assert tracer.dropped > 0
-
-
-def test_event_tracer_windows_and_busiest():
-    from repro.sim import Environment, EventTracer
-
-    env = Environment()
-    tracer = EventTracer(env)
-    for i in range(3):
-        env.timeout(0.5)
-    env.timeout(5.0)
-    env.run()
-    assert len(tracer.between(0.0, 1.0)) == 3
-    second, count = tracer.busiest_second()
-    assert second == 0 and count == 3
-    assert EventTracer(Environment()).busiest_second() is None
-
-
-def test_event_tracer_validation():
-    from repro.sim import Environment, EventTracer
-
-    with pytest.raises(ValueError):
-        EventTracer(Environment(), max_entries=0)
