@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List
 
 from ..unionfs import Layer
-from .image import MB, AndroidImage
+from .image import AndroidImage
 from .services import FAKED_INTERFACES, OFFLOAD_INIT_SERVICES
 
 __all__ = ["CustomizedOS", "StripReport", "customize_os"]
@@ -58,10 +58,6 @@ class CustomizedOS:
     @property
     def size_bytes(self) -> int:
         return self.base_layer.total_bytes
-
-    @property
-    def size_mb(self) -> float:
-        return self.size_bytes / MB
 
 
 def customize_os(image: AndroidImage, name: str = "customized-android") -> CustomizedOS:

@@ -150,14 +150,6 @@ class AndroidImage:
         """The file nodes of one category."""
         return self.layer.by_category(name)
 
-    def needed_files(self) -> List[FileNode]:
-        """All files offloaded code actually touches."""
-        return [
-            n
-            for n in self.layer.files()
-            if not n.is_dir and self.categories[n.category].needed_for_offload
-        ]
-
 
 def _spread(total_bytes: int, count: int) -> List[int]:
     """Deterministically split ``total_bytes`` into ``count`` file sizes."""

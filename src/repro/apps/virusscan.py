@@ -79,10 +79,6 @@ class AhoCorasick:
                     self._fail[nxt] = 0
                 self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
 
-    @property
-    def state_count(self) -> int:
-        return len(self._goto)
-
     def search(self, data: bytes) -> List[Tuple[int, int]]:
         """All matches as ``(end_offset, pattern_index)`` pairs.
 

@@ -29,6 +29,7 @@ default suite attaches no cache and stays byte-identical.
 from __future__ import annotations
 
 import time
+from itertools import cycle
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -37,13 +38,13 @@ from ..analysis import nearest_rank, render_table
 from ..network.link import FlowLink
 from ..network.scenarios import SCENARIOS
 from ..obs import PHASE_KINDS, Observability
+from ..offload.client import replay_inflow
 from ..offload.power import PowerModel
 from ..offload.request import OffloadRequest
 from ..platform import ClusterPlatform, RattrapPlatform
 from ..sim import Environment
 from ..traces import LiveLabConfig, generate_livelab_trace, trace_to_plans
 from ..workloads import CHESS_GAME, VIRUS_SCAN
-from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "ARMS", "SHAPES"]
 
@@ -223,7 +224,7 @@ def _repeat_cell(arm: str, seed: int = 1, smoke: bool = False) -> Dict[str, Any]
             [env.process(prime(env, tracers[i : i + 2]))
              for i in range(0, len(tracers), 2)]
         )
-        yield from open_loop_feeder(env, cluster, requests, aps)
+        yield from replay_inflow(env, cluster, zip(requests, cycle(aps)))
 
     wall0 = time.perf_counter()
     env.run(until=env.process(feeder(env)))

@@ -13,7 +13,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Generator,
     Iterable,
     List,
     Optional,
@@ -24,7 +23,6 @@ from typing import (
 from ..analysis import phase_means
 from ..network import make_link
 from ..offload import MobileDevice, PowerModel, RequestResult, run_inflow_experiment
-from ..offload.request import OffloadRequest
 from ..platform import CloudPlatform, RattrapPlatform, VMCloudPlatform
 from ..sim import Environment
 from ..workloads import ALL_WORKLOADS, WorkloadProfile, generate_inflow, get_profile
@@ -35,7 +33,6 @@ __all__ = [
     "build_platform",
     "ExperimentRun",
     "run_workload_experiment",
-    "open_loop_feeder",
     "DEVICES",
     "REQUESTS_PER_DEVICE",
     "workload_platform_cells",
@@ -86,7 +83,6 @@ def run_workload_experiment(
     devices: int = DEVICES,
     requests_per_device: int = REQUESTS_PER_DEVICE,
     seed: int = 1,
-    mode: str = "closed",
     with_energy: bool = False,
     with_tracing: bool = False,
 ) -> ExperimentRun:
@@ -121,7 +117,7 @@ def run_workload_experiment(
             for i in range(devices)
         }
     results = run_inflow_experiment(
-        env, platform, plans, link, devices=device_map or None, mode=mode
+        env, platform, plans, link, devices=device_map or None
     )
     return ExperimentRun(
         platform_name=platform_name,
@@ -132,28 +128,6 @@ def run_workload_experiment(
         results=results,
         devices=device_map,
     )
-
-
-def open_loop_feeder(
-    env: Environment,
-    target: Any,
-    requests: Iterable[OffloadRequest],
-    links: Sequence[Any],
-) -> Generator:
-    """Process generator: submit each request at its ``submitted_at``.
-
-    Requests go to ``target.submit`` (a platform or a cluster) in
-    order, round-robin over ``links``; the generator returns once every
-    submission has completed.  Unlike
-    :func:`~repro.offload.client.replay_inflow`, which starts a process
-    per request, one process sleeps through the whole inflow.
-    """
-    procs = []
-    for i, request in enumerate(requests):
-        if request.submitted_at > env.now:
-            yield env.timeout(request.submitted_at - env.now)
-        procs.append(target.submit(request, links[i % len(links)]))
-    yield env.all_of(procs)
 
 
 # --------------------------------------------------------------- cell scaffolding

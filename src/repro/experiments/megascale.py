@@ -46,6 +46,7 @@ from ..network.backhaul import ShardLink
 from ..network.link import FlowLink, Link, Mbps
 from ..network.scenarios import SCENARIOS
 from ..obs import Observability, merge_metrics_snapshots
+from ..offload.client import replay_inflow
 from ..offload.power import PowerModel
 from ..offload.request import OffloadRequest
 from ..platform import (
@@ -58,7 +59,6 @@ from ..platform.population import per_request_bytes
 from ..sim import Environment
 from ..sim.shard import EpochStats, ShardRunner, run_sharded
 from ..workloads import VIRUS_SCAN
-from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "MEGA_ZONES", "MEGA_DEVICES_PER_ZONE"]
 
@@ -182,8 +182,8 @@ def _anchor_discrete(seed: int, n: int, rate: float) -> Dict[str, Any]:
     def driver(env):
         yield platform.submit(_request(0, 0, 0.0), ap)
         start = env.now + ANCHOR_GAP_S
-        requests = (_request(0, i + 1, start + i / rate) for i in range(n))
-        yield from open_loop_feeder(env, platform, requests, [ap])
+        arrivals = ((_request(0, i + 1, start + i / rate), ap) for i in range(n))
+        yield from replay_inflow(env, platform, arrivals)
 
     env.run(until=env.process(driver(env)))
     results = platform.completed()

@@ -31,6 +31,7 @@ byte-identical to a predictor-free tree.
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
@@ -39,13 +40,13 @@ from ..analysis import failure_rate, nearest_rank, render_table
 from ..network import make_link
 from ..network.link import FlowLink
 from ..network.scenarios import SCENARIOS as LINK_SCENARIOS
+from ..offload.client import replay_inflow
 from ..offload.request import OffloadRequest, RequestResult
 from ..platform import ClusterPlatform, PredictiveConfig, RattrapPlatform
 from ..platform.dispatcher import Dispatcher
 from ..sim import Environment
 from ..traces import LiveLabConfig, generate_livelab_trace, replay_trace, trace_to_plans
 from ..workloads import CHESS_GAME, VIRUS_SCAN
-from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "SCENARIOS", "ARMS"]
 
@@ -143,7 +144,8 @@ def _waves_cell(arm: str, seed: int = 1) -> Dict[str, Any]:
         for d in range(WAVE_DEVICES)
     ]
 
-    env.run(until=env.process(open_loop_feeder(env, cluster, requests, aps)))
+    arrivals = zip(requests, cycle(aps))
+    env.run(until=env.process(replay_inflow(env, cluster, arrivals)))
     return _stats(cluster.completed(), [n.dispatcher for n in cluster.nodes])
 
 

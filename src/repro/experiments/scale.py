@@ -27,6 +27,7 @@ that is the point.
 from __future__ import annotations
 
 import time
+from itertools import cycle
 from typing import Any, Dict, List
 
 import numpy as np
@@ -35,11 +36,11 @@ from ..analysis import render_table
 from ..network.link import FlowLink
 from ..network.scenarios import SCENARIOS
 from ..obs import PHASE_KINDS, Observability
+from ..offload.client import replay_inflow
 from ..offload.request import OffloadRequest
 from ..platform import ClusterPlatform, RattrapPlatform
 from ..sim import Environment
 from ..workloads import VIRUS_SCAN
-from .common import open_loop_feeder
 
 __all__ = ["run", "report", "cells", "merge", "DEVICE_STEPS", "SMOKE_STEPS"]
 
@@ -92,7 +93,8 @@ def _scale_cell(devices: int, seed: int = 1) -> Dict[str, Any]:
     ]
 
     wall0 = time.perf_counter()
-    env.run(until=env.process(open_loop_feeder(env, cluster, requests, aps)))
+    arrivals = zip(requests, cycle(aps))
+    env.run(until=env.process(replay_inflow(env, cluster, arrivals)))
     wall_s = time.perf_counter() - wall0
 
     completed = cluster.completed()

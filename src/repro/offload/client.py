@@ -15,13 +15,23 @@ fires every request at its trace timestamp.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Generator, List, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..network.link import Link
 from ..obs import metrics_of, trace_span
 from ..sim.rng import RandomStreams
 from .device import MobileDevice
-from .request import PhaseTimeline, RequestResult
+from .request import OffloadRequest, PhaseTimeline, RequestResult
 from .retry import is_retryable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .retry import RetryPolicy
 
 __all__ = [
-    "gather_results",
     "group_by_device",
     "replay",
     "replay_inflow",
@@ -55,15 +64,6 @@ def group_by_device(
     if missing:
         raise ValueError(f"no {what} for: {sorted(missing)}")
     return groups
-
-
-def gather_results(env: "Environment", drivers: list) -> Generator:
-    """Process generator: wait for every driver process, each returning
-    a batch of results; all results, ordered by request id."""
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
 
 
 def replay(
@@ -232,35 +232,43 @@ def replay(
             collected.append((yield from serve(device_id, device, plan.request)))
         return collected
 
-    return (yield from gather_results(
-        env, [env.process(drive(d, seq)) for d, seq in groups.items()]
-    ))
+    done = yield env.all_of([env.process(drive(d, seq)) for d, seq in groups.items()])
+    results = [r for batch in done.values() for r in batch]
+    results.sort(key=lambda r: r.request.request_id)
+    return results
 
 
 def replay_inflow(
     env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    link: Link,
+    target,
+    arrivals: Iterable[Tuple[OffloadRequest, Link]],
     devices: Optional[Dict[str, MobileDevice]] = None,
 ) -> Generator:
-    """Process generator: fire every arrival at its timestamp.
+    """Process generator: the open-loop client.
 
-    Returns the completed :class:`RequestResult` list, ordered by
-    request id.  When ``devices`` is given, each device's battery is
-    charged for its offloaded requests (Fig. 10's methodology).
+    Submits each ``(request, link)`` pair to ``target`` (a platform or
+    a cluster) at exactly ``request.submitted_at``, in the given order;
+    a request whose instant has already passed goes at once.  One
+    process sleeps through the whole inflow.  When ``devices`` is
+    given, each request's device battery is charged for the offload as
+    it completes (Fig. 10's methodology).  Returns every result,
+    ordered by request id.
     """
 
-    def fire(plan: "ArrivalPlan") -> Generator:
-        delay = plan.time_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        result = yield platform.submit(plan.request, link)
-        if devices is not None and not result.blocked:
-            devices[plan.device_id].account_offload(result)
-        return (result,)
+    def charge(proc) -> None:
+        if proc.ok and not proc.value.blocked:
+            devices[proc.value.request.device_id].account_offload(proc.value)
 
-    return (yield from gather_results(env, [env.process(fire(plan)) for plan in plans]))
+    procs = []
+    for request, link in arrivals:
+        if request.submitted_at > env.now:
+            yield env.timeout_at(request.submitted_at)
+        proc = target.submit(request, link)
+        if devices is not None:
+            proc.add_callback(charge)
+        procs.append(proc)
+    done = yield env.all_of(procs)
+    return sorted(done.values(), key=lambda r: r.request.request_id)
 
 
 def run_inflow_experiment(
@@ -269,25 +277,16 @@ def run_inflow_experiment(
     plans: Sequence["ArrivalPlan"],
     link: Link,
     devices: Optional[Dict[str, MobileDevice]] = None,
-    mode: str = "closed",
 ) -> List[RequestResult]:
-    """Convenience wrapper: replay ``plans`` and run the clock until done.
+    """Convenience wrapper: replay ``plans`` closed-loop through
+    :func:`replay` and run the clock until done.
 
-    ``mode="closed"`` (default) drives each device one-request-at-a-
-    time through :func:`replay`; ``mode="open"`` fires at absolute
-    timestamps (trace replay).  Without ``devices`` every device is a
-    fresh handset on ``link``.
+    Without ``devices`` every device is a fresh handset on ``link``.
+    Open-loop (trace) inflows go through :func:`replay_inflow`.
     """
-    if mode == "closed":
-        if devices is None:
-            devices = {
-                device_id: MobileDevice(device_id, link)
-                for device_id in dict.fromkeys(p.device_id for p in plans)
-            }
-        gen = replay(env, platform, plans, devices)
-    elif mode == "open":
-        gen = replay_inflow(env, platform, plans, link, devices)
-    else:
-        raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    proc = env.process(gen)
-    return env.run(until=proc)
+    if devices is None:
+        devices = {
+            device_id: MobileDevice(device_id, link)
+            for device_id in dict.fromkeys(p.device_id for p in plans)
+        }
+    return env.run(until=env.process(replay(env, platform, plans, devices)))

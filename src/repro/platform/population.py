@@ -126,10 +126,6 @@ class PopulationSource:
         self._proc: Optional["Process"] = None
 
     # -- closed forms ---------------------------------------------------------
-    def arrival_time(self, i: int) -> float:
-        """Submission instant of device ``i`` (deterministic spacing)."""
-        return self.start_s + i / self.rate
-
     def completion_time(self, i: int) -> float:
         """Analytic completion instant of device ``i``.
 
@@ -176,11 +172,6 @@ class PopulationSource:
         base = h * self.hit_response_s + (1.0 - h) * self.base_response_s
         return base + self.mean_wait_s
 
-    @property
-    def expected_cache_hits(self) -> int:
-        """Requests the result cache will serve (closed form)."""
-        return self.hits_by_completed(self.n)
-
     def hits_by_completed(self, completed: int) -> int:
         """Cache hits among the first ``completed`` completions.
 
@@ -199,15 +190,6 @@ class PopulationSource:
     def cache_hits(self) -> int:
         """Cache hits settled into the counters so far."""
         return self._settled_hits
-
-    # -- aggregate accounting -------------------------------------------------
-    def total_bytes_up(self) -> int:
-        """Upload goodput the whole population will move."""
-        return self.n * self.bytes_up_each
-
-    def total_bytes_down(self) -> int:
-        """Download goodput the whole population will receive."""
-        return self.n * self.bytes_down_each
 
     def start(self) -> "Process":
         """Spawn the tick process (idempotent); returns it."""

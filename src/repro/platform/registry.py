@@ -133,10 +133,6 @@ class PullReport:
     time_to_ready_s: float
     background_bytes: int = 0
 
-    @property
-    def total_image_bytes(self) -> int:
-        return self.fetched_bytes + self.deduplicated_bytes + self.background_bytes
-
 
 class ImagePuller:
     """Provisions container images onto a server from a registry.
@@ -166,10 +162,6 @@ class ImagePuller:
     def has_layer(self, digest: str) -> bool:
         """Is the layer already on this server's disk?"""
         return digest in self._local_layers
-
-    def local_layers(self) -> List[str]:
-        """Sorted digests resident on this server."""
-        return sorted(self._local_layers)
 
     def _transfer_time(self, nbytes: float) -> float:
         return self.backbone_latency_s + nbytes / self.backbone_bw

@@ -22,6 +22,7 @@ receives exports.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -150,6 +151,11 @@ class MonitorScheduler:
         return min(ready, key=lambda r: (r.active_requests, -r.total_requests, r.cid))
 
 
+#: an EWMA rate below the smallest normal float is idle: the decay's
+#: rounding would otherwise leave it stuck at a subnormal, never 0
+_RATE_FLOOR = sys.float_info.min
+
+
 class ArrivalRateEWMA:
     """Per-app arrival-rate estimator over fixed ticks.
 
@@ -157,7 +163,8 @@ class ArrivalRateEWMA:
     instantaneous rate into an exponentially weighted moving average.
     Under a constant rate ``r`` the estimate converges monotonically to
     ``r`` (property-tested), and after demand stops it decays
-    geometrically — the hysteresis the warm pool drains on.
+    geometrically — the hysteresis the warm pool drains on — until it
+    falls below the smallest normal float and reads exactly 0.
     """
 
     def __init__(self, alpha: float = 0.2, tick_s: float = 1.0):
@@ -197,14 +204,16 @@ class ArrivalRateEWMA:
         if not counts:
             # the zero count's rate, 0 / tick_s, is exactly 0.0
             for app_id, prev in rates.items():
-                rates[app_id] = prev + alpha * (0.0 - prev)
+                rate = prev + alpha * (0.0 - prev)
+                rates[app_id] = rate if rate >= _RATE_FLOOR else 0.0
             return ()
         for app_id in counts:
             if app_id not in rates:
                 rates[app_id] = 0.0
         for app_id, prev in rates.items():
             inst = counts.get(app_id, 0) / self.tick_s
-            rates[app_id] = prev + alpha * (inst - prev)
+            rate = prev + alpha * (inst - prev)
+            rates[app_id] = rate if rate >= _RATE_FLOOR else 0.0
         counted = tuple(counts)
         counts.clear()
         return counted

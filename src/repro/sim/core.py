@@ -278,10 +278,9 @@ class Environment:
 
         The absolute-time twin of :meth:`defer`, for callers that hold
         a timestamp rather than a delay (e.g. a cross-shard message's
-        ``deliver_at``).  Scheduling in the past is an error.
+        ``deliver_at``); like :meth:`timeout_at` it lands on ``when``
+        exactly.  Scheduling in the past is an error.
         """
-        if when < self._now:
-            raise ValueError(
-                f"defer_at({when!r}) lies in the past (now={self._now!r})"
-            )
-        return self.defer(fn, when - self._now)
+        ev = self.timeout_at(when)
+        ev.add_callback(lambda _ev: fn())
+        return ev

@@ -9,11 +9,11 @@ mobile population is not all on LAN WiFi).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
-from ..offload.client import gather_results, group_by_device, replay_inflow
+from ..offload.client import group_by_device, replay_inflow
 from ..offload.request import OffloadRequest, RequestResult
 from ..workloads.base import WorkloadProfile
 from ..workloads.generator import ArrivalPlan
@@ -96,16 +96,12 @@ def replay_trace(
     """
     if not plans:
         raise ValueError("empty plan list")
-    per_user = group_by_device(plans, links, "link for user(s)")
+    group_by_device(plans, links, "link for user(s)")
     platform.start_idle_reaper(idle_timeout_s=idle_timeout_s)
-
-    # Each user's stream rides its own link.
-    procs = [
-        env.process(
-            replay_inflow(env, platform, per_user[user], links[user],
-                          devices=devices)
-        )
-        for user in sorted(per_user)
-    ]
-
-    return env.run(until=env.process(gather_results(env, procs)))
+    # Each user's stream rides its own link; same-instant arrivals go
+    # in user-id order, each user's in plan order.
+    ordered = sorted(plans, key=lambda p: (p.time_s, p.device_id))
+    arrivals = ((p.request, links[p.device_id]) for p in ordered)
+    return env.run(
+        until=env.process(replay_inflow(env, platform, arrivals, devices=devices))
+    )

@@ -105,10 +105,6 @@ class WorkloadProfile:
         """Workloads 'with additional file transmissions' (Fig. 10)."""
         return self.file_size_kb > 0
 
-    @property
-    def exec_io_total_bytes(self) -> int:
-        return self.exec_io_ops * self.exec_io_bytes
-
 
 def derive_profile(base: WorkloadProfile, name: str, **overrides) -> WorkloadProfile:
     """Build a custom workload from an existing profile.

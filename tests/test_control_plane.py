@@ -14,9 +14,10 @@ the kernel's event count must agree.
 """
 
 import math
+import sys
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.network import make_link
@@ -71,7 +72,9 @@ def _reference_tick(predictor):
             rates[app_id] = 0.0
     for app_id, prev in rates.items():
         inst = counts.get(app_id, 0) / ewma.tick_s
-        rates[app_id] = prev + ewma.alpha * (inst - prev)
+        rate = prev + ewma.alpha * (inst - prev)
+        # an idle rate below the smallest normal float reads 0
+        rates[app_id] = rate if rate >= sys.float_info.min else 0.0
     counts.clear()
     platform = predictor.platform
     if platform.offline:
@@ -253,6 +256,15 @@ def _replay(scenario, fast):
 
 @settings(max_examples=40, deadline=None)
 @given(scenario=scenarios())
+# one arrival, then a long idle: the rate decays into the subnormals
+@example(scenario={
+    "servers": 1,
+    "config": PredictiveConfig(tick_s=0.5, alpha=0.5, max_pool=1, hold_s=0.0,
+                               drain_ticks=1),
+    "idle_timeout_s": 2.0,
+    "check_s": 1.0,
+    "arrivals": [(0.0, "chess", 0)],
+})
 def test_fast_paths_match_full_reconciliation(scenario):
     fast = _replay(scenario, fast=True)
     full = _replay(scenario, fast=False)

@@ -37,33 +37,22 @@ def grand_run():
         seed=21,
     )
     power = PowerModel()
-    all_results = []
-    user_procs = []
     devices = {}
     for i, user in enumerate(trace.users()):
         link = make_link("lan-wifi", rng=np.random.default_rng(500 + i))
         devices[user] = MobileDevice(user, link, power_model=power)
-    for profile in ALL_WORKLOADS:
-        plans = trace_to_plans(trace, profile, seed=33)
-        if not plans:
-            continue
-        for user in {p.device_id for p in plans}:
-            user_plans = [p for p in plans if p.device_id == user]
-            user_procs.append(
-                env.process(
-                    replay_inflow(env, cluster, user_plans, devices[user].link,
-                                  devices=devices)
-                )
-            )
-
-    def collect(env):
-        done = yield env.all_of(user_procs)
-        out = []
-        for batch in done.values():
-            out.extend(batch)
-        return out
-
-    all_results = env.run(until=env.process(collect(env)))
+    # Every app's accesses in one open-loop inflow, in timestamp order.
+    arrivals = sorted(
+        (
+            (plan.request, devices[plan.device_id].link)
+            for profile in ALL_WORKLOADS
+            for plan in trace_to_plans(trace, profile, seed=33)
+        ),
+        key=lambda arrival: arrival[0].submitted_at,
+    )
+    all_results = env.run(
+        until=env.process(replay_inflow(env, cluster, arrivals, devices=devices))
+    )
     env.run(until=env.now + 300.0)  # let reapers and controller settle
     return env, cluster, controller, devices, all_results, trace
 

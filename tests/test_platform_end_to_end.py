@@ -4,7 +4,7 @@ platforms, checking the paper's headline behaviours."""
 import pytest
 
 from repro.network import make_link
-from repro.offload import Phase, run_inflow_experiment
+from repro.offload import Phase, replay_inflow, run_inflow_experiment
 from repro.platform import RattrapPlatform, VMCloudPlatform
 from repro.platform.access import RequestAccessController
 from repro.offload.request import OffloadRequest
@@ -295,8 +295,9 @@ def test_stress_thousand_requests_settle_cleanly():
     plat = RattrapPlatform(env)
     plans = poisson_inflow(LINPACK, rate_per_s=2.0, horizon_s=500.0,
                            devices=10, seed=3)
-    results = run_inflow_experiment(env, plat, plans, make_link("lan-wifi"),
-                                    mode="open")
+    link = make_link("lan-wifi")
+    results = env.run(until=env.process(
+        replay_inflow(env, plat, ((p.request, link) for p in plans))))
     assert len(results) == len(plans)
     assert plat.scheduler.active_requests == 0
     assert plat.shared_layer.offload_io.resident_bytes == 0

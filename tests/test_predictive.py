@@ -7,6 +7,8 @@ their signals apart, plus the dispatcher's FIFO waiter wake-up, preboot
 ride/claim paths, reaper protection, and cluster failover behavior.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,29 @@ def test_ewma_decays_after_demand_stops():
     for _ in range(10):
         ewma.tick()
     assert ewma.rate("app") < peak * 0.01
+
+
+@pytest.mark.parametrize("busy_neighbour", [False, True])
+def test_ewma_idle_rate_reaches_exactly_zero(busy_neighbour):
+    """The decay's rounding sticks at a subnormal (1e-323 at alpha 0.2);
+    a rate below the smallest normal float reads exactly 0.  With a
+    busy neighbour the fold runs the counted branch instead."""
+    ewma = ArrivalRateEWMA(alpha=0.2, tick_s=1.0)
+    ewma.observe("app")
+    ewma.tick()
+    rates = [ewma.rate("app")]
+    for _ in range(3400):
+        if busy_neighbour:
+            ewma.observe("other")
+        ewma.tick()
+        rates.append(ewma.rate("app"))
+    assert ewma.rate("app") == 0.0
+    assert ewma.estimates["app"] == 0.0
+    # Above the floor every fold is the plain geometric one.
+    for prev, rate in zip(rates, rates[1:]):
+        if rate:
+            assert rate == prev + 0.2 * (0.0 - prev)
+            assert rate >= sys.float_info.min
 
 
 def test_ewma_validation():

@@ -510,6 +510,19 @@ def test_timeout_at_order_reuses_an_earlier_slot():
     assert order == ["slot", "later", "holder"]
 
 
+def test_defer_at_lands_exactly_on_when_and_rejects_the_past():
+    now, when = 0.7, 2.85
+    assert now + (when - now) != when  # a relative delay would miss it
+    env = Environment()
+    env.run(until=now)
+    hits = []
+    env.defer_at(lambda: hits.append(env.now), when)
+    env.run()
+    assert hits == [when]
+    with pytest.raises(ValueError, match="in the past"):
+        env.defer_at(lambda: None, 1.0)
+
+
 def test_hand_over_moves_waiters_and_resumes_once():
     env = Environment()
     first, second = env.event(), env.event()
