@@ -38,23 +38,24 @@ predictive:
 	$(PYTHON) -m repro.experiments.runner predictive --jobs $(JOBS)
 
 ## Run the opt-in 1M-device sharded + mesoscale experiment
-## (see docs/PERFORMANCE.md "Megascale").  JOBS=N runs one
-## scatter-gather worker process per shard; the smoke variant is the
-## cheap CI configuration (50k devices over 2 shards).
+## (see docs/PERFORMANCE.md "Megascale").  Any JOBS > 1 runs one
+## worker process per shard (8 for the full configuration, whatever
+## the value); the smoke variant is the cheap CI configuration (50k
+## devices over 2 shards).
 megascale:
 	$(PYTHON) -m repro.experiments.runner megascale --jobs $(JOBS)
 
 megascale-smoke:
 	$(PYTHON) -m repro.experiments.runner megascale --smoke --jobs $(JOBS)
 
-## A/B the sharded kernel's parallel path: the full megascale run
-## serially, then again with JOBS worker processes (default: one per
-## mega-cell shard).  Summaries are byte-identical by construction;
-## compare the two mega-cell wall clocks (needs >= JOBS cores to show
-## the scatter-gather speedup).
+## A/B the sharded kernel's worker path: the full megascale run
+## serially, then again with one worker process per mega-cell shard
+## (8 of them).  Summaries are byte-identical by construction; compare
+## the two mega-cell wall clocks (needs >= 8 cores to show the
+## scatter-gather speedup).
 megascale-ab:
 	$(PYTHON) -m repro.experiments.runner megascale --jobs 0
-	$(PYTHON) -m repro.experiments.runner megascale --jobs $(if $(filter 0,$(JOBS)),8,$(JOBS))
+	$(PYTHON) -m repro.experiments.runner megascale --jobs 2
 
 ## Run the opt-in compute-result cache benchmark: repeat-heavy and
 ## LiveLab-trace shapes, arms cache-off / node tier / cluster tier

@@ -17,28 +17,28 @@ node + device population) — and advances them epoch by epoch under a
   conservative / lookahead discipline).
 
 Shard evolution is a pure function of ``(spec, inbox sequence)`` and
-inboxes are routed in a deterministic order, so the parallel path
-(one persistent worker process per shard, scatter-gather over pipes)
-produces summaries byte-identical to the serial one — the same
-jobs=1 ≡ jobs=N discipline :mod:`repro.experiments.engine` proves for
-cells.  And because same-shard messages ride the identical epoch
+inboxes are routed in a deterministic order.  One loop,
+:func:`run_epochs`, drives in-process shards and the proxies of worker
+processes (one persistent worker per shard, over pipes) alike, so
+``jobs > 1`` produces summaries byte-identical to the serial run — the
+same jobs=1 ≡ jobs=N discipline :mod:`repro.experiments.engine` proves
+for cells.  And because same-shard messages ride the identical epoch
 mechanism, the *shard count* does not perturb results either: a
 two-zone simulation is byte-identical run as one shard or two.
 
 Two optimizations ride the epoch loop without perturbing one byte
 (see docs/PERFORMANCE.md "Megascale" for the argument):
 
-- **Scatter-gather epochs** — the parallel path broadcasts the epoch
-  request to every worker pipe before gathering any reply, so all N
-  shards advance concurrently; outboxes are still gathered and routed
-  in shard order, which is the only order the serial loop observes.
+- **Scatter-gather epochs** — each round starts every shard's epoch
+  before gathering any outbox; a worker proxy's start only sends the
+  request, so all N worker shards advance concurrently.  Outboxes are
+  gathered and routed in shard order either way.
 - **Adaptive idle-epoch skipping** — after a round that produced no
   mail (and therefore queued no inboxes), every event the simulation
   will ever see is already on some shard's heap; the loop jumps
   straight to the epoch whose window contains the earliest such event
   (``Environment.peek``) instead of grinding through provably empty
-  sync barriers.  The serial and parallel loops apply the identical
-  rule, so jobs=1 ≡ jobs=N holds by construction.
+  sync barriers.
 
 Example
 -------
@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 import pickle
 import time
+import traceback
 import warnings
 from dataclasses import dataclass
 from typing import (
@@ -120,9 +121,10 @@ class EpochStats:
     jobs=1 and jobs=N by construction) and are mirrored into each
     shard's metrics registry as ``shard.epochs_run`` /
     ``shard.epochs_skipped`` when observability is attached.
-    ``sync_wall_s`` is real wall-clock spent blocked at the parallel
-    path's gather barrier — nondeterministic by nature, so it lives
-    here and in experiment reports, never in the metrics registry.
+    ``sync_wall_s`` is real wall-clock the loop spent at the gather
+    (blocked on worker replies; ≈0 for in-process shards) —
+    nondeterministic by nature, so it lives here and in experiment
+    reports, never in the metrics registry.
     """
 
     epochs_run: int = 0
@@ -130,7 +132,7 @@ class EpochStats:
     sync_wall_s: float = 0.0
 
     def reset(self) -> None:
-        """Zero every counter (a fallback rerun starts from scratch)."""
+        """Zero every counter (each :func:`run_epochs` call starts here)."""
         self.epochs_run = 0
         self.epochs_skipped = 0
         self.sync_wall_s = 0.0
@@ -274,6 +276,29 @@ class ShardRunner:
         if t > self.env.now:
             self.env.run(until=t)
 
+    # -- the epoch protocol (what run_epochs drives) ---------------------------
+    def start_clock(self) -> float:
+        """The shard's clock before its first epoch."""
+        return self.env.now
+
+    def begin_epoch(self, t_next: float, inbox: Sequence[ShardMessage]) -> None:
+        """Deliver an epoch's inbox and run the shard up to ``t_next``."""
+        if inbox:
+            self.inject(inbox)
+        self.advance_to(t_next)
+
+    def end_epoch(self) -> Tuple[List[ShardMessage], float]:
+        """The epoch's outbox and the time of the shard's next event."""
+        return self.drain_outbox(), self.env.peek()
+
+    def note_epochs(self, stats: EpochStats) -> None:
+        """Mirror the deterministic epoch counters into the shard's metrics."""
+        obs = getattr(self.env, "obs", None)
+        metrics = None if obs is None else obs.metrics
+        if metrics is not None:
+            metrics.counter("shard.epochs_run").inc(stats.epochs_run)
+            metrics.counter("shard.epochs_skipped").inc(stats.epochs_skipped)
+
 
 def sync_window(min_cross_latency: float, window: Optional[float] = None) -> float:
     """The conservative sync window for a given cross-shard lookahead.
@@ -307,43 +332,6 @@ def _route(
     return by_shard
 
 
-# -- wire format --------------------------------------------------------------
-# ShardMessages cross worker pipes as flat field tuples: one pickle of
-# a list of plain tuples per shard per epoch instead of one dataclass
-# reduce per message.  Field order IS ShardMessage's declaration order
-# (src, dst, sent_at, deliver_at, kind, payload, seq), so unpacking is
-# ``ShardMessage(*fields)`` and the packed sort/route keys below index
-# dst=1, deliver_at=3, src=0, seq=6.
-
-_NO_MAIL: Tuple = ()
-
-
-def _pack(messages: Sequence[ShardMessage]) -> List[tuple]:
-    """Flatten messages for the pipe (see the wire-format note above)."""
-    return [
-        (m.src, m.dst, m.sent_at, m.deliver_at, m.kind, m.payload, m.seq)
-        for m in messages
-    ]
-
-
-def _unpack(packed: Sequence[tuple]) -> List[ShardMessage]:
-    """Rebuild :class:`ShardMessage` objects from pipe tuples."""
-    return [ShardMessage(*fields) for fields in packed]
-
-
-def _route_packed(
-    packed: List[tuple], owner: Mapping[int, int]
-) -> Dict[int, List[tuple]]:
-    """:func:`_route`, but over packed tuples — the parent process
-    routes an epoch's mail without ever materializing a dataclass."""
-    by_shard: Dict[int, List[tuple]] = {}
-    for fields in packed:
-        by_shard.setdefault(owner[fields[1]], []).append(fields)
-    for inbox in by_shard.values():
-        inbox.sort(key=lambda f: (f[3], f[0], f[6]))
-    return by_shard
-
-
 # -- the idle-epoch skip rule -------------------------------------------------
 
 def _skip_to(k: int, t0: float, window: float, min_peek: float, until: float) -> int:
@@ -373,30 +361,24 @@ def _skip_to(k: int, t0: float, window: float, min_peek: float, until: float) ->
     return max(k, k_next)
 
 
-def _note_epoch_counters(env: "Environment", stats: "EpochStats") -> None:
-    """Mirror the deterministic epoch counters into ``env``'s metrics."""
-    obs = getattr(env, "obs", None)
-    metrics = None if obs is None else obs.metrics
-    if metrics is not None:
-        metrics.counter("shard.epochs_run").inc(stats.epochs_run)
-        metrics.counter("shard.epochs_skipped").inc(stats.epochs_skipped)
-
-
 def run_epochs(
-    shards: Sequence[ShardRunner],
+    shards: Sequence[Any],
     owner: Mapping[int, int],
     window: float,
     until: float,
     stats: Optional[EpochStats] = None,
 ) -> EpochStats:
-    """Serial conservative epoch loop (the reference implementation).
+    """The conservative epoch loop, for in-process and worker shards alike.
 
-    Repeats until ``until``: inject each shard's inbox, advance every
-    shard to the epoch boundary (in shard order), then exchange
-    outboxes.  ``owner`` maps zone id → shard index.  Rounds that
-    provably do nothing — no pending inbox and no shard event inside
-    their window — are skipped via :func:`_skip_to`; the parallel path
-    applies the identical rule, so the two stay byte-identical.
+    ``shards`` speak :class:`ShardRunner`'s epoch protocol
+    (``start_clock``, ``begin_epoch``, ``end_epoch``, ``note_epochs``);
+    :func:`run_sharded`'s worker proxies speak it over a pipe.  Each
+    round starts every shard's epoch with its inbox, then gathers every
+    outbox and next-event time, both in shard order: worker shards
+    advance concurrently between the two, and mail is routed in one
+    deterministic order either way.  ``owner`` maps zone id → shard
+    index.  Rounds that provably do nothing — no pending inbox and no
+    shard event inside their window — are skipped via :func:`_skip_to`.
     Returns (and fills, when given) an :class:`EpochStats`.
     """
     if window <= 0:
@@ -406,23 +388,27 @@ def run_epochs(
     if not shards:
         return stats
     inboxes: Dict[int, List[ShardMessage]] = {}
-    t0 = min(s.env.now for s in shards)
+    t0 = min(s.start_clock() for s in shards)
     t = t0
     k = 0
     while t < until:
         k += 1
         t_next = min(t0 + k * window, until)
-        mail: List[ShardMessage] = []
         for idx, shard in enumerate(shards):
-            shard.inject(inboxes.get(idx, ()))
-            shard.advance_to(t_next)
-            mail.extend(shard.drain_outbox())
+            shard.begin_epoch(t_next, inboxes.get(idx, ()))
+        wall0 = time.perf_counter()
+        mail: List[ShardMessage] = []
+        peeks: List[float] = []
+        for shard in shards:
+            outbox, peek = shard.end_epoch()
+            mail.extend(outbox)
+            peeks.append(peek)
+        stats.sync_wall_s += time.perf_counter() - wall0
         inboxes = _route(mail, owner)
         stats.epochs_run += 1
         t = t_next
         if t < until and not mail:
-            min_peek = min(s.env.peek() for s in shards)
-            k_next = _skip_to(k, t0, window, min_peek, until)
+            k_next = _skip_to(k, t0, window, min(peeks), until)
             stats.epochs_skipped += k_next - k
             k = k_next
     # Mail still in flight at the horizon is a modelling bug upstream:
@@ -434,21 +420,22 @@ def run_epochs(
             f"{until!r}; extend the run or shrink the workload"
         )
     for shard in shards:
-        _note_epoch_counters(shard.env, stats)
+        shard.note_epochs(stats)
     return stats
 
 
 def _shard_worker(conn, build, spec, finalize, obs_flags) -> None:
-    """Persistent worker: one shard, driven over a pipe by run_sharded.
+    """Persistent worker: one shard, driven over a pipe by its
+    :class:`_WorkerShard` proxy.
 
     Protocol: after building, the worker announces ``("ready",
-    env.now)`` so the parent can align the epoch grid on the true
-    minimum start clock.  Then ``("epoch", t_next, packed_inbox)`` →
-    inject + advance, reply ``("ok", packed_outbox, env.peek())``;
-    ``("finalize", stats)`` → mirror the epoch counters into this
-    shard's metrics, reply with ``(summary, obs_snapshots)`` and exit.
-    Any exception is shipped back as ``("error", repr)`` so the parent
-    can raise instead of hanging.
+    start_clock)`` so the parent can align the epoch grid on the true
+    minimum start clock.  Then ``("epoch", t_next, inbox)`` → begin
+    and end the epoch, reply ``("ok", outbox, peek)``;
+    ``("note_epochs", stats)`` → mirror the epoch counters, no reply;
+    ``("finalize",)`` → reply ``("done", summary, obs_snapshots)`` and
+    exit.  Any exception is shipped back as ``("error", traceback)``
+    so the parent can raise instead of hanging.
     """
     from .. import obs as obs_mod
 
@@ -457,24 +444,22 @@ def _shard_worker(conn, build, spec, finalize, obs_flags) -> None:
         if obs_flags is not None:
             obs_mod.enable_auto(*obs_flags)
         shard = build(spec)
-        conn.send(("ready", shard.env.now))
+        conn.send(("ready", shard.start_clock()))
         while True:
             req = conn.recv()
             if req[0] == "epoch":
-                _, t_next, inbox = req
-                if inbox:
-                    shard.inject(_unpack(inbox))
-                shard.advance_to(t_next)
-                conn.send(("ok", _pack(shard.drain_outbox()), shard.env.peek()))
+                shard.begin_epoch(req[1], req[2])
+                conn.send(("ok", *shard.end_epoch()))
+            elif req[0] == "note_epochs":
+                shard.note_epochs(req[1])
             elif req[0] == "finalize":
-                _note_epoch_counters(shard.env, req[1])
                 conn.send(("done", finalize(shard), obs_mod.drain()))
                 return
             else:  # pragma: no cover - protocol guard
                 raise ValueError(f"unknown request {req[0]!r}")
-    except BaseException as exc:  # pragma: no cover - ships to parent
+    except BaseException:  # pragma: no cover - ships to parent
         try:
-            conn.send(("error", repr(exc)))
+            conn.send(("error", traceback.format_exc()))
         except Exception:
             pass
     finally:
@@ -482,31 +467,87 @@ def _shard_worker(conn, build, spec, finalize, obs_flags) -> None:
         conn.close()
 
 
-def _shutdown(pipes, procs) -> None:
+class _WorkerShard:
+    """Parent-side proxy for one shard built and run in a worker process.
+
+    Speaks :class:`ShardRunner`'s epoch protocol over a pipe, so
+    :func:`run_epochs` drives it like an in-process shard.
+    ``begin_epoch`` only sends the request and ``end_epoch`` reads the
+    reply, so every worker advances while the loop is still scattering.
+    A worker that dies or fails raises :class:`SimulationError`, never
+    a silent serial fallback.
+    """
+
+    def __init__(self, ctx, idx: int, build, spec, finalize, obs_flags):
+        self.idx = idx
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_shard_worker, args=(child, build, spec, finalize, obs_flags)
+        )
+        self.proc.start()
+        child.close()
+
+    def send(self, request: tuple) -> None:
+        try:
+            self.conn.send(request)
+        except BrokenPipeError as exc:
+            raise SimulationError(
+                f"shard {self.idx} worker died mid-run ({exc!r})"
+            ) from exc
+
+    def recv(self) -> tuple:
+        try:
+            reply = self.conn.recv()
+        except EOFError as exc:
+            raise SimulationError(
+                f"shard {self.idx} worker died mid-run ({exc!r})"
+            ) from exc
+        if reply[0] == "error":
+            raise SimulationError(
+                f"shard {self.idx} worker failed:\n{reply[1].rstrip()}"
+            )
+        return reply
+
+    def start_clock(self) -> float:
+        """The build handshake: wait for the worker's shard clock."""
+        return self.recv()[1]
+
+    def begin_epoch(self, t_next: float, inbox: Sequence[ShardMessage]) -> None:
+        self.send(("epoch", t_next, inbox))
+
+    def end_epoch(self) -> Tuple[List[ShardMessage], float]:
+        _, outbox, peek = self.recv()
+        return outbox, peek
+
+    def note_epochs(self, stats: EpochStats) -> None:
+        self.send(("note_epochs", stats))
+
+
+def _shutdown(workers: Sequence[_WorkerShard]) -> None:
     """Drain, close, and reap every worker without lingering.
 
     On the error path some pipes still hold unanswered epoch requests
     (the scatter already went out) and a worker mid-reply may be
     blocked writing a large outbox; draining pending data unblocks the
-    write, and closing the parent ends turns every later worker
+    write, and closing the parent end turns every later worker
     ``recv``/``send`` into EOF so the loop exits on its own.  Joins
     share one grace budget; stragglers are terminated, then killed.
     """
-    for conn in pipes:
+    for w in workers:
         try:
-            while conn.poll(0):
-                conn.recv()
+            while w.conn.poll(0):
+                w.conn.recv()
         except (EOFError, OSError):
             pass
-    for conn in pipes:
+    for w in workers:
         try:
-            conn.close()
+            w.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
     deadline = time.monotonic() + _SHUTDOWN_GRACE_S
-    for proc in procs:
-        proc.join(timeout=max(0.0, deadline - time.monotonic()))
-    stragglers = [proc for proc in procs if proc.is_alive()]
+    for w in workers:
+        w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+    stragglers = [w.proc for w in workers if w.proc.is_alive()]
     for proc in stragglers:  # pragma: no cover - defensive
         proc.terminate()
     for proc in stragglers:  # pragma: no cover - defensive
@@ -517,95 +558,29 @@ def _shutdown(pipes, procs) -> None:
 
 
 def _run_sharded_mp(build, specs, owner, window, until, finalize, stats) -> List[Any]:
-    """Parallel path: one persistent process per shard, scatter-gather.
-
-    Each epoch broadcasts the request to every worker pipe *before*
-    reading any reply, so all shards advance concurrently; replies are
-    then gathered — and mail routed — in shard order, which is the only
-    order the serial loop observes.  Mail crosses the pipes packed
-    (see the wire-format note above).
-    """
+    """Parallel path: one persistent worker process per shard, driven
+    by :func:`run_epochs` through :class:`_WorkerShard` proxies."""
     import multiprocessing as mp
 
     from .. import obs as obs_mod
 
     flags = obs_mod.auto_flags()
     ctx = mp.get_context()
-    pipes, procs = [], []
-    stats.reset()
+    workers: List[_WorkerShard] = []
     try:
-        for spec in specs:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, build, spec, finalize, flags),
-            )
-            proc.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            procs.append(proc)
-        n = len(specs)
-
-        def exchange(idx: int, request: Optional[tuple]):
-            """One send and/or receive; worker death becomes a
-            SimulationError, never a silent serial fallback."""
-            try:
-                if request is not None:
-                    pipes[idx].send(request)
-                    return None
-                reply = pipes[idx].recv()
-            except (EOFError, BrokenPipeError) as exc:
-                raise SimulationError(
-                    f"shard {idx} worker died mid-run ({exc!r})"
-                ) from exc
-            if reply[0] == "error":
-                raise SimulationError(f"shard {idx} worker failed: {reply[1]}")
-            return reply
-
-        # Build handshake: the epoch grid starts at the true minimum
-        # shard clock, exactly like the serial loop (a worker built
-        # with initial_time > 0 must not be rewound to t=0).
-        t0 = min(exchange(idx, None)[1] for idx in range(n))
-
-        inboxes: Dict[int, List[tuple]] = {}
-        t = t0
-        k = 0
-        while t < until:
-            k += 1
-            t_next = min(t0 + k * window, until)
-            for idx in range(n):  # scatter: all shards advance at once
-                exchange(idx, ("epoch", t_next, inboxes.get(idx, _NO_MAIL)))
-            wall0 = time.perf_counter()
-            mail: List[tuple] = []
-            peeks: List[float] = []
-            for idx in range(n):  # gather in shard order: serial interleave
-                _, outbox, peek = exchange(idx, None)
-                mail.extend(outbox)
-                peeks.append(peek)
-            stats.sync_wall_s += time.perf_counter() - wall0
-            inboxes = _route_packed(mail, owner)
-            stats.epochs_run += 1
-            t = t_next
-            if t < until and not mail:
-                k_next = _skip_to(k, t0, window, min(peeks), until)
-                stats.epochs_skipped += k_next - k
-                k = k_next
-        if any(inboxes.values()):
-            pending = sum(len(v) for v in inboxes.values())
-            raise SimulationError(
-                f"{pending} cross-shard message(s) undelivered at the horizon "
-                f"{until!r}; extend the run or shrink the workload"
-            )
-        for idx in range(n):
-            exchange(idx, ("finalize", stats))
+        for idx, spec in enumerate(specs):
+            workers.append(_WorkerShard(ctx, idx, build, spec, finalize, flags))
+        run_epochs(workers, owner, window, until, stats=stats)
+        for w in workers:
+            w.send(("finalize",))
         summaries: List[Any] = []
-        for idx in range(n):
-            _, summary, snaps = exchange(idx, None)
+        for w in workers:
+            _, summary, snaps = w.recv()
             obs_mod.absorb(snaps)  # shard order == serial environment order
             summaries.append(summary)
         return summaries
     finally:
-        _shutdown(pipes, procs)
+        _shutdown(workers)
 
 
 def run_sharded(
@@ -622,11 +597,13 @@ def run_sharded(
 
     ``build(spec)`` constructs one shard from a picklable spec;
     ``finalize(shard)`` reduces it to a picklable summary after the
-    horizon.  ``jobs <= 1`` runs the serial epoch loop in-process;
+    horizon.  ``jobs <= 1`` builds and runs every shard in-process;
     ``jobs > 1`` runs one persistent worker process per shard (the
     epoch barrier needs bidirectional exchange, so shards cannot share
-    pool workers).  Both paths produce identical summaries.  ``stats``,
-    when given, is filled with the run's :class:`EpochStats`.
+    pool workers).  :func:`run_epochs` drives both, so they produce
+    identical summaries.  ``stats``, when given, is filled with the
+    run's :class:`EpochStats`.  A negative ``jobs`` is a
+    :class:`ValueError`.
 
     If the worker pool itself is unavailable (sandboxed interpreter,
     unpicklable spec or payload) the run falls back to the serial path
@@ -634,6 +611,8 @@ def run_sharded(
     crashes and modelling errors surface as :class:`SimulationError`
     and are never masked by the fallback.
     """
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     specs = list(specs)
     if not specs:
         return []
@@ -641,7 +620,7 @@ def run_sharded(
     if jobs > 1:
         try:
             return _run_sharded_mp(build, specs, owner, window, until, finalize,
-                                   stats if stats is not None else EpochStats())
+                                   stats)
         except SimulationError:
             raise  # a modelling or worker error, not a pool failure
         except _POOL_UNAVAILABLE as exc:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs_mod
 import repro.sim.shard as shard_mod
 from repro.obs import Observability
 from repro.sim import Environment
@@ -212,6 +213,57 @@ def test_epoch_stats_identical_serial_vs_mp():
     assert s_serial.epochs_run > 0
 
 
+def _build_metered_pingpong(spec):
+    """Ping/pong shard whose metrics name their shard, so the order
+    the snapshots drain in shows."""
+    runner = _build_pingpong(spec)
+    runner.env.obs.metrics.counter("test.shard").inc(spec["shard"])
+    return runner
+
+
+def test_worker_metrics_match_in_process_metrics():
+    """Counters mirrored inside the workers, absorbed in shard order,
+    drain exactly like the in-process run's."""
+    kwargs = dict(
+        specs=_pingpong_specs(),
+        owner={0: 0, 1: 1},
+        window=LOOKAHEAD,
+        until=10.0,
+        finalize=_finalize_pingpong,
+    )
+    drained, stats = {}, {}
+    obs_mod.enable_auto(tracing=False, metrics=True)
+    try:
+        for jobs in (0, 2):
+            stats[jobs] = EpochStats()
+            run_sharded(_build_metered_pingpong, jobs=jobs, stats=stats[jobs],
+                        **kwargs)
+            drained[jobs] = obs_mod.drain()
+    finally:
+        obs_mod.disable_auto()
+    assert drained[0] == drained[2]
+    assert stats[0].epochs_skipped > 0
+    assert len(drained[0]) == 2  # one snapshot per shard, in shard order
+    for shard, snap in enumerate(drained[0]):
+        counters = snap["metrics"]["counters"]
+        assert counters["test.shard"] == shard
+        assert counters["shard.epochs_run"] == stats[0].epochs_run
+        assert counters["shard.epochs_skipped"] == stats[0].epochs_skipped
+
+
+def test_negative_jobs_is_rejected():
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        run_sharded(
+            _build_pingpong,
+            _pingpong_specs(),
+            owner={0: 0, 1: 1},
+            window=LOOKAHEAD,
+            until=10.0,
+            finalize=_finalize_pingpong,
+            jobs=-1,
+        )
+
+
 # ------------------------------------------------------- idle-epoch skipping
 def test_idle_epochs_are_skipped_on_sparse_trace():
     """A long quiet stretch costs one skip, not hundreds of barriers."""
@@ -389,10 +441,10 @@ def _build_crashy(spec):
 
 def test_worker_crash_surfaces_and_tears_down_promptly():
     """An errored worker raises SimulationError (never a silent serial
-    rerun) and the remaining workers are reaped without waiting out a
-    long per-process join timeout."""
+    rerun) carrying the worker's traceback, and the remaining workers
+    are reaped without waiting out a long per-process join timeout."""
     t0 = time.monotonic()
-    with pytest.raises(SimulationError, match="worker failed"):
+    with pytest.raises(SimulationError, match="worker failed") as err:
         run_sharded(
             _build_crashy,
             [{"shard": 0}, {"shard": 1}, {"shard": 2}],
@@ -403,3 +455,5 @@ def test_worker_crash_surfaces_and_tears_down_promptly():
             jobs=3,
         )
     assert time.monotonic() - t0 < 4.0
+    assert "injected handler crash" in str(err.value)
+    assert "in handler" in str(err.value)  # the raising function

@@ -161,8 +161,8 @@ def test_optimized_loop_matches_reference(topology):
 @given(topology=topologies())
 @settings(deadline=None, max_examples=8)
 def test_scatter_gather_workers_match_reference(topology):
-    """The full parallel path — scatter-gather pipes, packed wire
-    format, worker-side skip votes — is byte-identical too.  Few
+    """The same loop over worker proxies — scatter-gather pipes,
+    worker-side next-event times — is byte-identical too.  Few
     examples: each spawns one process per shard."""
     specs, owner, window = topology
     shards = [_build_shard(s) for s in specs]
