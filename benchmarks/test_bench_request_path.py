@@ -2,7 +2,7 @@
 over a quiet shared-medium link, and two transfers contending for it.
 
 A lone transfer folds its latency and wire time into one completion
-timer; a contended pair takes the fluid path (latency timers, the
+timer, with or without a metrics registry attached; a contended pair takes the fluid path (latency timers, the
 channel's re-armed wake, a ``done`` event per flow).  Both are checked
 for the kernel events they schedule, so an event-count regression
 fails here before it shows in a whole-run benchmark.  Run with::
@@ -13,6 +13,7 @@ fails here before it shows in a whole-run benchmark.  Run with::
 import pytest
 
 from repro.network import SCENARIOS, FlowLink
+from repro.obs import Observability
 from repro.sim import Environment
 
 NBYTES = 64 * 1024
@@ -38,6 +39,17 @@ def _transfers(env, link, n: int) -> int:
 def test_lone_transfer_schedules_one_timer(ap):
     # process bootstrap + the folded completion timer + process exit
     assert _transfers(*ap, 1) == 3
+
+
+def test_lone_transfer_folds_with_metrics_attached(ap):
+    """The fold holds with a registry attached: the join is observed
+    when the folded timer fires, at no event's cost."""
+    env, link = ap
+    obs = Observability(env, tracing=False, metrics=True)
+    assert _transfers(env, link, 1) == 3
+    snapshot = obs.metrics.snapshot()
+    assert snapshot["histograms"]["link.concurrent_flows"]["count"] == 1
+    assert snapshot["gauges"]["link.active_flows"]["max"] == 1.0
 
 
 def test_contended_pair_costs_no_more_than_the_fluid_path(ap):

@@ -65,6 +65,13 @@ class FluidChannel:
     the instant the latency timer and :meth:`_arm` would compute.  The
     next :meth:`add` or :meth:`cancel` unfolds the flow into the state
     it would have reached without the fold (see :meth:`_unfold`).
+
+    With a metrics registry attached, every join is observed once
+    (``link.active_flows``, ``link.concurrent_flows``) with the value
+    it had at the join.  A folded flow's join is observed when the fold
+    resolves: when its timer fires, or when :meth:`_unfold` finds it
+    already joined; one unfolded before its join is observed by
+    :meth:`_join`.
     """
 
     def __init__(self, env: "Environment"):
@@ -199,12 +206,25 @@ class FluidChannel:
             if len(self._flows) > self._peak:
                 self._peak = len(self._flows)
             self._arm()
+        if self.env.obs is not None:
+            self._observe_join(self.active_flows)
+
+    def _observe_join(self, active: int) -> None:
+        """Record the flows on the medium right after a join (a no-op
+        without a metrics registry)."""
         metrics = metrics_of(self.env)
         if metrics is not None:
-            metrics.gauge("link.active_flows").set(self.active_flows)
+            metrics.gauge("link.active_flows").set(active)
             metrics.histogram(
                 "link.concurrent_flows", bounds=DEFAULT_COUNT_BUCKETS
-            ).observe(self.active_flows)
+            ).observe(active)
+
+    def _fold_fired(self, timer: "Event") -> None:
+        """A fold timer fired: if its flow is still the folded one, it
+        joined and drained alone; observe the join."""
+        fold = self._fold
+        if fold is not None and fold.done is timer:
+            self._observe_join(1 if fold.remaining > 0.0 else 0)
 
     def _arrive(self, flow: _Flow) -> None:
         """A flow's latency timer fired; a cancelled flow stays away."""
@@ -235,6 +255,8 @@ class FluidChannel:
         env = self.env
         join_at = self._fold_join
         if self._fold_arrived():
+            # it joined the quiet channel: alone, or drained at once
+            self._observe_join(1 if flow.remaining > 0.0 else 0)
             if flow.remaining <= 0.0:
                 return  # drains on arrival: its timer completes it
             self._peak = max(self._peak, 1)
@@ -318,13 +340,7 @@ class FluidChannel:
         if self._fold is not None:
             self._unfold()
         flow = _Flow(float(nbytes), float(bps), tenant)
-        obs = env.obs
-        if (
-            not self._flows
-            and not self._joining
-            and env.tenancy is None
-            and (obs is None or obs.metrics is None)
-        ):
+        if not self._flows and not self._joining and env.tenancy is None:
             # Quiet channel: one timer at the instant the latency timer
             # and _arm would produce, with their two float additions.
             join_at = env.now if latency is None else env.now + latency
@@ -336,6 +352,8 @@ class FluidChannel:
             self._fold_end = end
             self._fold_order = None if latency is None else env.event_count
             flow.done = env.timeout_at(end)
+            if env.obs is not None:
+                flow.done.callbacks.append(self._fold_fired)
             return flow
         flow.done = env.event()
         if latency is None:

@@ -16,7 +16,17 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..faults.errors import NodeDown, RuntimeCrashed
 from ..hostos.server import CloudServer
@@ -35,7 +45,7 @@ from .shared_layer import SharedResourceLayer
 from .warehouse import AppWarehouse
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.core import Environment
+    from ..sim.core import Environment, Ticker
     from ..sim.process import Process
 
 __all__ = ["CloudPlatform"]
@@ -57,7 +67,11 @@ class CloudPlatform:
     ):
         self.env = env
         self.server = server if server is not None else CloudServer(env)
+        #: this node's label in per-node metric names (a cluster
+        #: numbers its nodes ``node0``, ``node1``, ...)
+        self.node_name = "node0"
         self.db = ContainerDB()
+        self.db.watch = self._db_changed
         self.scheduler = MonitorScheduler(env, self.db)
         self.dispatcher = Dispatcher(
             env,
@@ -88,6 +102,13 @@ class CloudPlatform:
         self._reap_memo: Optional[
             Tuple[int, float, List[ContainerRecord], float, int]
         ] = None
+        #: the idle reaper's scan instants (None: no reaper started),
+        #: whether its last scan spared expired runtimes, so a change to
+        #: the predictor's protection could reap them, and the apps a
+        #: runtime going idle must hold to change it (None: any app)
+        self._reaper: Optional["Ticker"] = None
+        self._reaper_spared = False
+        self._reaper_apps: Optional[Set[str]] = None
         # Optional components: each is None (detached, zero cost) or
         # present; platform variants set them in their constructors.
         #: App Warehouse code cache (None = every runtime receives the
@@ -163,11 +184,32 @@ class CloudPlatform:
         self.dispatcher.pool_floors = dict(cfg.pool_floors)
         return self.predictor
 
-    def start_predictor(self) -> "Process":
-        """Spawn the predictor's background tick loop."""
+    def start_predictor(self) -> "Ticker":
+        """Start the predictor's tick loop (it sleeps through quiet ticks)."""
         if self.predictor is None:
             raise RuntimeError("call enable_predictive() first")
-        return self.env.process(self.predictor.run(self.env))
+        return self.predictor.start()
+
+    # ----------------------------------------------- control-plane wake-ups
+    def _db_changed(self) -> None:
+        """Container DB hook: its version moved."""
+        if self.predictor is not None:
+            self.predictor.db_changed()
+        if self._reaper is not None:
+            self._reaper.wake()
+
+    def _runtime_idle(self, record: ContainerRecord) -> None:
+        """Container DB hook: a runtime's last request left it, so it
+        may take a retention slot from a runtime the reaper spared."""
+        apps = self._reaper_apps
+        if apps is None or not apps.isdisjoint(record.runtime.loaded_apps):
+            self._reaper.wake()
+
+    def _predictor_moved(self) -> None:
+        """The predictor's targets or hold flags moved: so may the
+        runtimes it protects."""
+        if self._reaper_spared:
+            self._reaper.wake()
 
     # -------------------------------------------------- computation reuse
     def enable_compute_cache(
@@ -557,6 +599,8 @@ class CloudPlatform:
         if self.offline:
             return
         self.offline = True
+        if self.predictor is not None:
+            self.predictor.wake()
         for record in self.db.all_records():
             self._kill(record, reason)
         exc = NodeDown(self.name, reason)
@@ -568,6 +612,8 @@ class CloudPlatform:
     def restore_node(self) -> None:
         """End an outage window; the node accepts work again (cold)."""
         self.offline = False
+        if self.predictor is not None:
+            self.predictor.wake()
 
     # -------------------------------------------------------- idle reclamation
     def reap_idle_runtimes(self, idle_timeout_s: float) -> List[str]:
@@ -628,17 +674,81 @@ class CloudPlatform:
 
     def start_idle_reaper(
         self, idle_timeout_s: float = 120.0, check_interval_s: float = 10.0
-    ):
-        """Spawn a background process that reaps idle runtimes forever."""
+    ) -> "Ticker":
+        """Reap idle runtimes every ``check_interval_s``, forever.
+
+        The scans run on a :class:`~repro.sim.core.Ticker` and sleep
+        through every scan instant that cannot reap (see
+        :meth:`_plan_reaper`).  A node runs one reaper; starting a
+        second raises ``RuntimeError``.
+        """
         if check_interval_s <= 0:
             raise ValueError("check_interval_s must be positive")
+        if self._reaper is not None:
+            raise RuntimeError("the idle reaper is already running")
 
-        def reaper(env):
-            while True:
-                yield env.timeout(check_interval_s)
-                self.reap_idle_runtimes(idle_timeout_s)
+        def scan() -> None:
+            self.reap_idle_runtimes(idle_timeout_s)
+            self._plan_reaper(idle_timeout_s)
 
-        return self.env.process(reaper(self.env))
+        self._reaper = self.env.ticker(check_interval_s, scan)
+        self._reaper.wake()
+        return self._reaper
+
+    def _retention_apps(self, spared: List[ContainerRecord]) -> Optional[Set[str]]:
+        """The apps whose retention slots can reach the spared rows.
+
+        Retention fills each app's slots with its idle warm runtimes in
+        registration order, so a runtime going idle displaces the last
+        one retained for an app it holds; a runtime holding several
+        apps passes the displacement on to its other apps.  Those are
+        the spared rows' apps, closed over the warm runtimes that share
+        one.  Under a ``pool_capacity`` every app's slots share one
+        budget, and any app can pass it on (None).
+        """
+        if self.dispatcher.pool_capacity is not None:
+            return None
+        apps: Set[str] = set()
+        todo = [app for record in spared for app in record.runtime.loaded_apps]
+        while todo:
+            app_id = todo.pop()
+            if app_id not in apps:
+                apps.add(app_id)
+                for record in self.db.with_app(app_id):
+                    todo.extend(record.runtime.loaded_apps)
+        return apps
+
+    def _plan_reaper(self, idle_timeout_s: float) -> None:
+        """Sleep until the first scan instant that could reap.
+
+        Right after a scan, the next one can reap only once the DB's
+        version moves (:meth:`_db_changed` wakes it), or a runtime's
+        idle time passes the timeout.  When the scan spared expired
+        runtimes for the predictor, it can also reap once their
+        protection moves: when a runtime goes idle, an arrival flips a
+        hold flag or a tick moves the targets (each wakes it), or when
+        a hold window lapses.  The instants of those lapses and
+        expiries are slept to with a margin of float rounding: a scan
+        that wakes a little early finds nothing and sleeps again.
+        """
+        memo = self._reap_memo
+        reaper = self._reaper
+        predictor = self.predictor
+        spared = self._reaper_spared = bool(memo[2]) and predictor is not None
+        # A runtime going idle can take a retention slot from an expired
+        # one (one going busy only hands its slot on).
+        self.db.idle_watch = self._runtime_idle if spared else None
+        if spared:
+            self._reaper_apps = self._retention_apps(memo[2])
+        if memo[0] != self.db.version:
+            reaper.sleep(reaper.passed + 1)
+            return
+        due = memo[3] + idle_timeout_s
+        if spared:
+            due = min(due, predictor.protection_holds_until())
+        if math.isfinite(due):
+            due -= 1e-9 * max(1.0, abs(due))
+        reaper.sleep(at=due)
 
     # ------------------------------------------------------------------ stats
     def completed(self) -> List[RequestResult]:

@@ -99,6 +99,8 @@ class ClusterPlatform:
         self.policy = policy
         factory = platform_factory or (lambda e: RattrapPlatform(e, optimized=True))
         self.nodes: List[CloudPlatform] = [factory(env) for _ in range(servers)]
+        for i, node in enumerate(self.nodes):
+            node.node_name = f"node{i}"
         self.routed: Dict[str, int] = {}  # device -> node index (sticky)
         self.results: List[RequestResult] = []
         self.health: List[NodeHealth] = [
@@ -217,7 +219,7 @@ class ClusterPlatform:
 
     def start_idle_reaper(self, idle_timeout_s: float = 120.0,
                           check_interval_s: float = 10.0) -> list:
-        """Start per-node idle reapers; returns their processes."""
+        """Start per-node idle reapers; returns their tickers."""
         return [
             node.start_idle_reaper(idle_timeout_s, check_interval_s)
             for node in self.nodes
@@ -234,7 +236,7 @@ class ClusterPlatform:
         return [node.enable_predictive(config) for node in self.nodes]
 
     def start_predictors(self) -> list:
-        """Start every node's predictor tick loop; returns processes."""
+        """Start every node's predictor tick loop; returns their tickers."""
         return [node.start_predictor() for node in self.nodes]
 
     # -- computation reuse --------------------------------------------------------

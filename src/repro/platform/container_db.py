@@ -9,7 +9,7 @@ Monitor & Scheduler updates its load figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..runtime.base import RuntimeEnvironment, RuntimeState
 
@@ -66,9 +66,12 @@ class ContainerDB:
     load, and (reported by the Dispatcher through :meth:`pool_changed`)
     every change to its spares or boots.  A control loop that sees the
     same version twice knows no warm count and no pool membership moved.
-    Requests entering and leaving runtimes leave it alone, so traffic
-    alone does not wake the loops; load is read from :attr:`busy` (the
-    CIDs with requests in flight) and each record's request counts.
+    Requests entering and leaving runtimes leave it alone; load is read
+    from :attr:`busy` (the CIDs with requests in flight) and each
+    record's request counts.  :attr:`watch`, when set, is called after
+    every version bump, and :attr:`idle_watch` with the record whenever
+    a runtime's last request leaves it: the platform wakes its
+    sleeping control loops from them.
     """
 
     def __init__(self) -> None:
@@ -80,6 +83,14 @@ class ContainerDB:
         self._next_seq = 0
         self.version = 0
         self.busy: Set[str] = set()
+        self.watch: Optional[Callable[[], None]] = None
+        self.idle_watch: Optional[Callable[[ContainerRecord], None]] = None
+
+    def _moved(self) -> None:
+        """Bump the version and tell the watcher."""
+        self.version += 1
+        if self.watch is not None:
+            self.watch()
 
     def new_cid(self) -> str:
         """Allocate the next container id."""
@@ -110,7 +121,7 @@ class ContainerDB:
             if runtime.state is RuntimeState.READY:
                 for app_id in runtime.loaded_apps:
                     self._index_ready(app_id, rec)
-        self.version += 1
+        self._moved()
         return rec
 
     def unregister(self, cid: str) -> None:
@@ -124,7 +135,7 @@ class ContainerDB:
             self._drop_live(rec)
             rec.runtime.container_db = None
             self.busy.discard(cid)
-            self.version += 1
+            self._moved()
 
     def get(self, cid: str) -> ContainerRecord:
         """The record for a CID (KeyError if unknown)."""
@@ -174,18 +185,18 @@ class ContainerDB:
                 self._index_ready(app_id, rec)
         elif state in _TERMINAL:
             self._drop_live(rec)
-        self.version += 1
+        self._moved()
 
     def runtime_loaded(self, runtime: RuntimeEnvironment, app_id: str) -> None:
         """A registered runtime loaded an app's code: a READY one joins
         the app's warm index."""
         if runtime.state is RuntimeState.READY:
             self._index_ready(app_id, self._records[runtime.instance_id])
-        self.version += 1
+        self._moved()
 
     def pool_changed(self) -> None:
         """The Dispatcher changed its spares or boots: bump the version."""
-        self.version += 1
+        self._moved()
 
     def _index_ready(self, app_id: str, rec: ContainerRecord) -> None:
         """Add a READY row to an app's index, keeping registration order."""
@@ -231,6 +242,8 @@ class ContainerDB:
         rec.active_requests -= 1
         if rec.active_requests == 0:
             self.busy.discard(cid)
+            if self.idle_watch is not None:
+                self.idle_watch(rec)
 
     def total_memory_mb(self) -> float:
         """Memory reserved by live (booting/ready) runtimes."""

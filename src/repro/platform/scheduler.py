@@ -41,7 +41,7 @@ from ..obs.metrics import Gauge, MetricsRegistry
 from .container_db import ContainerDB, ContainerRecord
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.core import Environment
+    from ..sim.core import Environment, Ticker
     from .base import CloudPlatform
 
 __all__ = [
@@ -218,6 +218,20 @@ class ArrivalRateEWMA:
         counts.clear()
         return counted
 
+    def idle(self, ticks: int) -> None:
+        """Fold ``ticks`` ticks without arrivals, bit for bit as that
+        many :meth:`tick` calls would (nothing may be counted)."""
+        alpha = self.alpha
+        rates = self._rates
+        for app_id, rate in rates.items():
+            for _ in range(ticks):
+                if not rate:
+                    break  # an idle rate stays exactly 0
+                rate = rate + alpha * (0.0 - rate)
+                if rate < _RATE_FLOOR:
+                    rate = 0.0
+            rates[app_id] = rate
+
     def counting(self) -> bool:
         """Have arrivals been counted since the last tick?"""
         return bool(self._counts)
@@ -272,28 +286,41 @@ class WarmPoolPredictor:
     (ready runtimes + pool spares + in-flight boots) against the demand
     forecast: pre-booting spares on a deficit, draining one per tick on
     a persistent surplus.  It reads nothing from the metrics registry;
-    with one attached it exports ``sched.arrival_rate.<app>`` and
-    ``sched.target_pool.<app>``.
+    with one attached it exports its node's
+    ``sched.arrival_rate.<node>.<app>`` and ``sched.target_pool.<node>.<app>``
+    on every tick it wakes for.
 
     A reconciliation that leaves every app at its target, with no boot
     trend, *settles* the pool.  Until something arrives, the Container
     DB's version moves or a decaying forecast nears a target edge
     (computed ahead, see :meth:`_steady_ticks`), the following ticks are
-    *quiet*: they fold the EWMAs and export the gauges, which is all a
-    reconciliation would have changed.  A tick with arrivals re-aims
-    only the apps that had them (:meth:`_still_settled`).
+    *quiet*: they would only fold the EWMAs and sample the unchanged
+    pending-boot count.  A tick with arrivals re-aims only the apps that
+    had them (:meth:`_still_settled`).
+
+    The tick loop runs on a :class:`~repro.sim.core.Ticker`, and a
+    settled predictor *sleeps* through its quiet ticks: it wakes on the
+    first tick after an arrival, a Container DB version change (a
+    pending-boot change is one), an outage edge, or on its
+    ``_quiet_until`` deadline.  Whatever reads its state first catches
+    up: the skipped ticks' EWMA folds, :attr:`ticks` and pending-boot
+    samples are replayed in order (:meth:`_catch_up`), so every rate is
+    the bit-same float the every-tick loop computes.
     """
 
     def __init__(self, platform: "CloudPlatform", config: Optional[PredictiveConfig] = None):
         self.platform = platform
         self.cfg = config if config is not None else PredictiveConfig()
-        self.rates = ArrivalRateEWMA(self.cfg.alpha, self.cfg.tick_s)
+        self._rates = ArrivalRateEWMA(self.cfg.alpha, self.cfg.tick_s)
         self._last_arrival: Dict[str, float] = {}
         self._surplus_ticks: Dict[str, int] = {}
         self._pending_samples: Deque[int] = deque(maxlen=TREND_WINDOW)
         self._boot_s: Optional[float] = None
-        self.ticks = 0
+        #: ticks folded so far (:attr:`ticks` catches up first)
+        self._ticks = 0
         self.drains = 0
+        #: the tick loop's instants (None until :meth:`start`)
+        self._ticker: Optional["Ticker"] = None
         #: per-app targets of the last reconciliation and the hold flags
         #: they assumed (None once a tick folded rates without one)
         self._targets: Optional[Dict[str, int]] = None
@@ -319,11 +346,89 @@ class WarmPoolPredictor:
         self._protect_key: Optional[Tuple[int, Dict[str, int], FrozenSet[str]]] = None
         self._protected: FrozenSet[str] = frozenset()
 
+    # -- sleeping through quiet ticks ---------------------------------------------
+    @property
+    def ticks(self) -> int:
+        """Ticks the loop has run, the slept-through ones included."""
+        self._catch_up()
+        return self._ticks
+
+    @property
+    def rates(self) -> ArrivalRateEWMA:
+        """The per-app arrival-rate estimates, caught up to now."""
+        self._catch_up()
+        return self._rates
+
+    def start(self) -> "Ticker":
+        """Start the tick loop (see :meth:`CloudPlatform.start_predictor`)."""
+        if self._ticker is not None:
+            raise RuntimeError("the predictor's tick loop is already running")
+        env = self.platform.env
+        self._ticker = ticker = env.ticker(self.cfg.tick_s, self._on_tick)
+        ticker.wake()
+        return ticker
+
+    def wake(self) -> None:
+        """Something the quiet check reads moved: tick at the next instant."""
+        if self._ticker is not None:
+            self._ticker.wake()
+
+    def db_changed(self) -> None:
+        """Container DB hook: a version the pool did not settle at
+        ends the quiet ticks."""
+        if self.platform.db.version != self._settled_version:
+            self.wake()
+
+    def _catch_up(self, upto: Optional[int] = None) -> None:
+        """Replay the quiet ticks slept through, up to tick ``upto``
+        (default: every tick the loop has passed).
+
+        A slept-through tick is quiet by construction: it folds the
+        EWMAs with no arrival and samples the pending-boot count the
+        pool settled at.  Neither reads the clock or the counted
+        arrivals, so the replay may run at any read before the next
+        tick.
+        """
+        ticker = self._ticker
+        if ticker is None:
+            return
+        behind = (ticker.passed if upto is None else upto) - self._ticks
+        if behind > 0:
+            self._ticks += behind
+            self._rates.idle(behind)
+            self._pending_samples.extend(
+                [self._settled_pending] * min(behind, TREND_WINDOW)
+            )
+
+    def _on_tick(self) -> None:
+        """The ticker woke the loop: catch up, tick, plan the next wake."""
+        ticker = self._ticker
+        self._catch_up(ticker.passed - 1)
+        targets = self._targets
+        self.tick()
+        quiet_until = self._quiet_until
+        if quiet_until < 0:
+            ticker.sleep(ticker.passed + 1)
+        elif quiet_until < math.inf:
+            ticker.sleep(math.floor(quiet_until) + 1)
+        else:
+            ticker.sleep()
+        if self._targets is not targets:  # new targets, hold flags or both
+            self.platform._predictor_moved()
+
+    def _arrived(self, app_id: str, count: int) -> None:
+        """Count arrivals toward the next tick and wake for it."""
+        self.wake()
+        self._rates.observe_bulk(app_id, count)
+        self._last_arrival[app_id] = self.platform.env.now
+        if self._held.get(app_id) is False:
+            # a hold flag flips: protected_cids re-aims before the tick
+            self.platform._predictor_moved()
+
     # -- signals ---------------------------------------------------------------
     def observe_arrival(self, request) -> None:
         """Platform serve-path hook: one request arrived for its app."""
-        self.rates.observe(request.app_id)
-        self._last_arrival[request.app_id] = self.platform.env.now
+        self._arrived(request.app_id, 1)
 
     def observe_aggregate(self, app_id: str, count: int) -> None:
         """Mesoscale hook: ``count`` fluid arrivals landed for an app.
@@ -333,10 +438,8 @@ class WarmPoolPredictor:
         hold-window clock see exactly what ``count`` discrete calls to
         :meth:`observe_arrival` would have produced.
         """
-        if count <= 0:
-            return
-        self.rates.observe_bulk(app_id, count)
-        self._last_arrival[app_id] = self.platform.env.now
+        if count > 0:
+            self._arrived(app_id, count)
 
     def boot_estimate_s(self) -> float:
         """Cold-boot duration the pool math amortizes (probe, cached)."""
@@ -353,6 +456,7 @@ class WarmPoolPredictor:
 
     def target_pool(self, app_id: str) -> int:
         """Warm runtimes the forecast wants for an app right now."""
+        self._catch_up()
         now = self.platform.env.now
         return self._target(app_id, self._is_held(app_id, now), self.pending_boots_trend())
 
@@ -365,7 +469,7 @@ class WarmPoolPredictor:
         cfg = self.cfg
         floor = self.platform.dispatcher.pool_floors.get(app_id, 0)
         boot_s = self._boot_s if self._boot_s is not None else self.boot_estimate_s()
-        demand = self.rates.rate(app_id) * boot_s * HEADROOM
+        demand = self._rates.rate(app_id) * boot_s * HEADROOM
         if demand < LOW_WATERMARK and not held:
             # A reservation floor keeps its owner warm even after the
             # demand estimate decays — that is the guarantee.
@@ -376,6 +480,15 @@ class WarmPoolPredictor:
             # is landing — widen the pool by the observed rise.
             target += trend
         return min(target, cfg.max_pool)
+
+    def protection_holds_until(self) -> float:
+        """The time before which :meth:`protected_cids` can change only
+        on a tick, an arrival or a Container DB change: the first hold
+        window's lapse (``-inf`` with no targets yet or while offline,
+        when its answer follows the rates)."""
+        if self._targets is None:
+            return -math.inf
+        return self._held_since + self.cfg.hold_s
 
     def protected_cids(self) -> FrozenSet[str]:
         """Runtimes the idle reaper must spare: pool members, plus up to
@@ -392,13 +505,14 @@ class WarmPoolPredictor:
         three stand still.  The last tick's targets still hold while
         every app's hold flag does.
         """
+        self._catch_up()
         platform = self.platform
         db = platform.db
         now = platform.env.now
         targets = self._targets
         if targets is None or (
             # an arrival or a lapse may have flipped a hold flag
-            (self.rates.counting() or now - self._held_since > self.cfg.hold_s)
+            (self._rates.counting() or now - self._held_since > self.cfg.hold_s)
             and any(
                 self._is_held(app_id, now) is not held
                 for app_id, held in self._held.items()
@@ -407,7 +521,7 @@ class WarmPoolPredictor:
             trend = self.pending_boots_trend()
             targets = {
                 app_id: self._target(app_id, self._is_held(app_id, now), trend)
-                for app_id in self.rates.apps()
+                for app_id in self._rates.apps()
             }
         key = self._protect_key
         if (
@@ -444,10 +558,11 @@ class WarmPoolPredictor:
 
     # -- the control loop ---------------------------------------------------------
     def tick(self) -> None:
-        """One control-loop pass (called every ``tick_s`` sim-seconds):
-        fold the rates, then reconcile unless the pool is still settled."""
-        self.ticks += 1
-        arrived = self.rates.tick()
+        """One control-loop pass (every ``tick_s`` sim-seconds the
+        predictor does not sleep through): fold the rates, then
+        reconcile unless the pool is still settled."""
+        self._ticks += 1
+        arrived = self._rates.tick()
         platform = self.platform
         if platform.offline:
             # Failover-aware: a dark node neither pre-boots nor drains;
@@ -462,7 +577,7 @@ class WarmPoolPredictor:
         quiet = (
             settled
             and not arrived
-            and self.ticks <= self._quiet_until
+            and self._ticks <= self._quiet_until
             and platform.db.version == self._settled_version
         )
         if not quiet and not (settled and self._still_settled(arrived)):
@@ -479,7 +594,7 @@ class WarmPoolPredictor:
         re-read only if the DB's version moved.  Nothing is changed
         unless the answer is True.
         """
-        ticks = self.ticks
+        ticks = self._ticks
         version = self.platform.db.version
         until = self._until
         if ticks <= self._quiet_until:
@@ -491,7 +606,7 @@ class WarmPoolPredictor:
         now = self.platform.env.now
         targets = self._targets
         was_held = self._held
-        rates = self.rates.estimates
+        rates = self._rates.estimates
         #: apps whose target or hold flag moved: app -> (held, target)
         fresh: Dict[str, Tuple[bool, int]] = {}
         for app_id in aim:
@@ -538,7 +653,7 @@ class WarmPoolPredictor:
         targets: Dict[str, int] = {}
         held: Dict[str, bool] = {}
         settled = True
-        for app_id in self.rates.apps():
+        for app_id in self._rates.apps():
             app_held = held[app_id] = self._is_held(app_id, now)
             target = targets[app_id] = self._target(app_id, app_held, trend)
             have = db.ready_count(app_id) + dispatcher.pool_size(app_id)
@@ -566,7 +681,7 @@ class WarmPoolPredictor:
             self._settled_version = db.version
             self._settled_pending = samples[-1]
             self._until = {
-                app_id: self.ticks + self._steady_ticks(app_id, target, held[app_id], now)
+                app_id: self._ticks + self._steady_ticks(app_id, target, held[app_id], now)
                 for app_id, target in targets.items()
             }
             self._quiet_until = min(self._until.values(), default=math.inf)
@@ -595,7 +710,7 @@ class WarmPoolPredictor:
         if held and cfg.hold_s < math.inf:
             lapse = self._last_arrival[app_id] + cfg.hold_s
             bound = math.floor((lapse - now) / cfg.tick_s)
-        demand = self.rates.rate(app_id) * self.boot_estimate_s() * HEADROOM
+        demand = self._rates.rate(app_id) * self.boot_estimate_s() * HEADROOM
         if demand < LOW_WATERMARK and not held:
             return math.inf  # decay keeps it in the low branch
         floor = self.platform.dispatcher.pool_floors.get(app_id, 0)
@@ -612,29 +727,23 @@ class WarmPoolPredictor:
         return min(bound, ahead) - QUIET_MARGIN
 
     def _export(self, metrics: MetricsRegistry) -> None:
-        """Export each app's arrival rate and target as gauges."""
+        """Export each app's arrival rate and target as this node's gauges."""
         targets = self._targets
         if metrics is not self._registry or targets is not self._exported:
             # Targets are replaced, never edited: rebuild on a new dict.
             self._registry = metrics
             self._exported = targets
+            node = self.platform.node_name
             self._gauges = [
                 (
                     app_id,
-                    metrics.gauge(f"sched.arrival_rate.{app_id}"),
-                    metrics.gauge(f"sched.target_pool.{app_id}"),
+                    metrics.gauge(f"sched.arrival_rate.{node}.{app_id}"),
+                    metrics.gauge(f"sched.target_pool.{node}.{app_id}"),
                     target,
                 )
                 for app_id, target in targets.items()
             ]
-        rates = self.rates.estimates
+        rates = self._rates.estimates
         for app_id, rate_gauge, target_gauge, target in self._gauges:
             rate_gauge.set(rates[app_id])
-            if target_gauge.value != target:  # unchanged unless another node wrote it
-                target_gauge.set(target)
-
-    def run(self, env: "Environment"):
-        """Process generator: tick forever (pair with ``env.process``)."""
-        while True:
-            yield env.timeout(self.cfg.tick_s)
-            self.tick()
+            target_gauge.set(target)

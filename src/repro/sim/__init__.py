@@ -3,6 +3,7 @@
 Public surface:
 
 - :class:`Environment` — clock + event heap + run loop
+- :class:`Ticker` — a periodic loop's instants, woken only when needed
 - :class:`Process` / :class:`Interrupt` — generator processes
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`
 - :class:`Resource` / :class:`Request` — a FIFO slot pool (the disk
@@ -13,7 +14,7 @@ Public surface:
   time-window partitioning of one simulation across processes
 """
 
-from .core import Environment, StopSimulation
+from .core import Environment, StopSimulation, Ticker
 from .events import (
     AllOf,
     AnyOf,
@@ -40,6 +41,7 @@ from .shard import (
 __all__ = [
     "Environment",
     "StopSimulation",
+    "Ticker",
     "Event",
     "EventState",
     "Timeout",

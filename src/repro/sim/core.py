@@ -11,17 +11,21 @@ Time is a float in **seconds** throughout the code base.
 from __future__ import annotations
 
 import heapq
+import math
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, EventState, SimulationError, Timeout
 from .process import Process
 
-__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
+__all__ = ["Environment", "EmptySchedule", "StopSimulation", "Ticker"]
 
 #: Upper bound on the Timeout free list: enough to absorb the steady
 #: state of the largest experiments without pinning memory forever.
 _TIMEOUT_POOL_CAP = 1024
+#: spacing of the fractional tie-break slots a :class:`Ticker` takes
+#: between two taken ones (exact in a float for slots below 2**32)
+_SLOT_STEP = 2.0**-20
 
 
 class EmptySchedule(Exception):
@@ -34,6 +38,77 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None):
         super().__init__(value)
         self.value = value
+
+
+class Ticker:
+    """The instants of a ``while True: yield env.timeout(period)`` loop
+    that runs ``fn()`` only on the instants its owner asks for.
+
+    Instant ``k + 1`` lies one float addition of ``period`` after
+    instant ``k``, in the tie-break slot the loop's timeout would take:
+    right after instant ``k`` was handled.  The ticker keeps one entry
+    on the heap at its next instant.  The run loop pops it there like
+    an event; an instant nobody asked for only moves the entry on (no
+    :class:`Event`, no callback, no process, and not counted in
+    :attr:`Environment.event_count`), while an instant asked for with
+    :meth:`wake` or :meth:`sleep` runs ``fn()`` and counts as one event.
+    So an owner that sleeps through its quiet instants sees every other
+    event in the order the every-instant loop would have.
+
+    :attr:`passed` counts the instants the loop has reached, the one
+    ``fn`` is handling included.  Create one with
+    :meth:`Environment.ticker`.
+    """
+
+    __slots__ = ("env", "period", "fn", "at", "passed", "_due", "_due_at")
+
+    #: read by the run loop after processing, as for an event
+    _exception = None
+    defused = False
+
+    def __init__(self, env: "Environment", period: float, fn: Callable[[], None]):
+        self.env = env
+        self.period = period
+        self.fn = fn
+        #: the next instant (``inf`` until the bootstrap event ran)
+        self.at = math.inf
+        self.passed = 0
+        #: ``fn`` is due at instant ``_due`` (1-based), or at the first
+        #: instant at or after time ``_due_at``
+        self._due = math.inf
+        self._due_at = math.inf
+
+    def wake(self) -> None:
+        """Run ``fn`` at the next instant (asked while ``fn`` runs: the
+        instant after this one)."""
+        self._due = self.passed + 1
+
+    def sleep(self, index: float = math.inf, at: float = math.inf) -> None:
+        """Drop the wakes asked for so far; run ``fn`` next at instant
+        ``index`` or at the first instant at or after time ``at``,
+        whichever comes first (both ``inf``: not until :meth:`wake`)."""
+        self._due = index
+        self._due_at = at
+
+    def _start(self, _event: Event) -> None:
+        """Schedule instant 1, as the loop's first timeout would."""
+        self.at = self.env.now
+        self._push_next()
+
+    def _process(self) -> None:
+        """The run loop reached the next instant: run ``fn`` if it is
+        due, then move the entry on to the instant after."""
+        self.passed += 1
+        if self._due <= self.passed or self.at >= self._due_at:
+            self._due = self._due_at = math.inf
+            self.env._seq += 1  # an instant woken for counts as an event
+            self.fn()
+        self._push_next()
+
+    def _push_next(self) -> None:
+        env = self.env
+        self.at += self.period
+        heapq.heappush(env._queue, (self.at, env._next_slot(), self))
 
 
 class Environment:
@@ -65,6 +140,9 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: recycled Timeout instances (see the run-loop refcount check)
         self._timeout_pool: List[Timeout] = []
+        #: fractional slots handed out since ``_seq`` last moved
+        self._slot_base = -1
+        self._slot_count = 0
         #: the attached FaultInjector, if any (set by repro.faults);
         #: the retrying client probes its link_down() before each attempt
         self.faults: Optional[Any] = None
@@ -149,6 +227,31 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a concurrently running process."""
         return Process(self, generator)
+
+    def ticker(self, period: float, fn: Callable[[], None]) -> Ticker:
+        """A :class:`Ticker` of ``period`` seconds that runs ``fn`` on
+        the instants it is woken for.
+
+        It starts the way a process does, in one bootstrap event at
+        ``now``: instant 1 is ``period`` after that event is processed.
+        """
+        if period <= 0:
+            raise ValueError("period must be positive")
+        ticker = Ticker(self, period, fn)
+        start = Event(self)
+        start.callbacks.append(ticker._start)
+        start.succeed()
+        return ticker
+
+    def _next_slot(self) -> float:
+        """A tie-break slot after every event scheduled so far and
+        before the next one; successive calls ascend."""
+        seq = self._seq
+        if seq != self._slot_base:
+            self._slot_base = seq
+            self._slot_count = 0
+        self._slot_count += 1
+        return seq - 1 + self._slot_count * _SLOT_STEP
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition event succeeding when every child succeeds."""

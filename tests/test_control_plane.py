@@ -1,16 +1,19 @@
 """The control plane's fast paths change nothing a run can observe.
 
-A settled warm-pool predictor skips its reconciliation on quiet ticks
-and re-checks only what moved on the others; the idle reaper reuses its
-last scan and the predictor's last protected set while the Container DB
-stands still.  The property below replays random arrival schedules into
-1-3 node clusters with the predictor and the reaper on, once as shipped
-and once with both loops replaced by the plain algorithm, written out
-below: a tick that folds every rate, computes every target and
+A settled warm-pool predictor sleeps through its quiet ticks and
+re-checks only what moved on the others; the idle reaper sleeps through
+scans that cannot reap, and reuses its last scan and the predictor's
+last protected set while the Container DB stands still.  The property
+below replays random arrival schedules into 1-3 node clusters with the
+predictor and the reaper on, once as shipped and once with both loops
+replaced by the plain algorithm, written out below, woken on every
+instant: a tick that folds every rate, computes every target and
 reconciles every app, and a reaper that scans every record and computes
-protection afresh.  Per-tick rates (bit for bit) and targets, pre-boots
-and drains, reaped CIDs, dispatcher counters, the metrics snapshot and
-the kernel's event count must agree.
+protection afresh.  The predictor's rates (bit for bit), pending-boot
+samples, targets, pre-boots and drains at every tick it wakes for,
+every reap, the final dispatcher counters and the metrics snapshot's
+counters, histograms and gauge maxima must agree, and the shipped run
+may not schedule more kernel events.
 """
 
 import math
@@ -26,7 +29,7 @@ from repro.offload import OffloadRequest
 from repro.platform import ClusterPlatform, PredictiveConfig, RattrapPlatform
 from repro.platform.base import CloudPlatform
 from repro.platform.scheduler import HEADROOM, LOW_WATERMARK, WarmPoolPredictor
-from repro.sim import Environment
+from repro.sim import Environment, Ticker
 from repro.workloads import CHESS_GAME, OCR, VIRUS_SCAN
 
 PROFILES = {p.name: p for p in (CHESS_GAME, OCR, VIRUS_SCAN)}
@@ -47,7 +50,7 @@ def _reference_target(predictor, app_id):
     cfg = predictor.cfg
     now = predictor.platform.env.now
     floor = predictor.platform.dispatcher.pool_floors.get(app_id, 0)
-    demand = predictor.rates.rate(app_id) * predictor.boot_estimate_s() * HEADROOM
+    demand = predictor._rates.rate(app_id) * predictor.boot_estimate_s() * HEADROOM
     last = predictor._last_arrival
     held = app_id in last and now - last[app_id] <= cfg.hold_s
     if demand < LOW_WATERMARK and not held:
@@ -64,8 +67,8 @@ def _reference_tick(predictor):
 
     Returns the targets it reconciled to (None on an offline tick).
     """
-    predictor.ticks += 1
-    ewma = predictor.rates
+    predictor._ticks += 1
+    ewma = predictor._rates
     counts, rates = ewma._counts, ewma._rates
     for app_id in counts:
         if app_id not in rates:
@@ -83,12 +86,14 @@ def _reference_tick(predictor):
     dispatcher = platform.dispatcher
     predictor._pending_samples.append(dispatcher.pending_boots())
     metrics = metrics_of(platform.env)
+    node = platform.node_name
     targets = {}
     for app_id in ewma.apps():
         target = targets[app_id] = _reference_target(predictor, app_id)
         if metrics is not None:
-            metrics.gauge(f"sched.arrival_rate.{app_id}").set(ewma.rate(app_id))
-            metrics.gauge(f"sched.target_pool.{app_id}").set(target)
+            rate = ewma.rate(app_id)
+            metrics.gauge(f"sched.arrival_rate.{node}.{app_id}").set(rate)
+            metrics.gauge(f"sched.target_pool.{node}.{app_id}").set(target)
         have = len(platform.db.with_app(app_id)) + dispatcher.pool_size(app_id)
         surplus = predictor._surplus_ticks
         if have < target:
@@ -112,7 +117,7 @@ def _reference_protected(predictor):
     capacity = dispatcher.pool_capacity
     budget = math.inf if capacity is None else max(0, capacity - len(out))
     floors = dispatcher.pool_floors
-    for app_id in sorted(predictor.rates.apps(), key=lambda a: -floors.get(a, 0)):
+    for app_id in sorted(predictor._rates.apps(), key=lambda a: -floors.get(a, 0)):
         if budget <= 0:
             break
         need = _reference_target(predictor, app_id) - dispatcher.pool_spares(app_id)
@@ -180,7 +185,11 @@ def scenarios(draw):
 
 
 def _replay(scenario, fast):
-    """Run one scenario; returns everything the comparison looks at."""
+    """Run one scenario; returns everything the comparison looks at.
+
+    The plain run (``fast=False``) wakes both loops on every instant of
+    their tickers, so it is the every-tick loop the sleepers stand for.
+    """
     env = Environment()
     obs = Observability(env, tracing=False, metrics=True)
     cluster = ClusterPlatform(
@@ -206,6 +215,7 @@ def _replay(scenario, fast):
             node_of[id(predictor)],
             env.now,
             list(predictor.rates.estimates.items()),
+            list(predictor._pending_samples),
             targets,
             predictor.drains,
             tuple(getattr(dispatcher, name) for name in COUNTERS),
@@ -220,6 +230,13 @@ def _replay(scenario, fast):
         mock.patch.object(WarmPoolPredictor, "tick", logged_tick),
         mock.patch.object(CloudPlatform, "reap_idle_runtimes", logged_reap),
     ]
+    if not fast:
+        patches += [
+            mock.patch.object(Ticker, "sleep", lambda ticker, *_, **__: ticker.wake()),
+            mock.patch.object(
+                CloudPlatform, "_plan_reaper", lambda node, _t: node._reaper.wake()
+            ),
+        ]
     for patch in patches:
         patch.start()
     try:
@@ -251,7 +268,25 @@ def _replay(scenario, fast):
         tuple(getattr(node.dispatcher, name) for name in COUNTERS)
         for node in cluster.nodes
     ]
-    return log, counters, env.event_count, obs.metrics.snapshot()
+    ticks = [node.predictor.ticks for node in cluster.nodes]
+    snapshot = obs.metrics.snapshot()
+    maxima = {name: g["max"] for name, g in snapshot["gauges"].items()}
+    outcome = (counters, ticks, snapshot["counters"], snapshot["histograms"], maxima)
+    return log, outcome, env.event_count
+
+
+def _assert_same_run(fast, full):
+    """The sleepers' run against the every-tick one."""
+    log, outcome, events = fast
+    full_log, full_outcome, full_events = full
+    ticks = {entry[1:3]: entry for entry in full_log if entry[0] == "tick"}
+    wakes = [entry for entry in log if entry[0] == "tick"]
+    assert wakes == [ticks[entry[1:3]] for entry in wakes]  # state at each wake
+    assert [e for e in log if e[0] == "reap" and e[2]] == [
+        e for e in full_log if e[0] == "reap" and e[2]
+    ]  # every reap
+    assert outcome == full_outcome
+    assert events <= full_events
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,16 +300,45 @@ def _replay(scenario, fast):
     "check_s": 1.0,
     "arrivals": [(0.0, "chess", 0)],
 })
+# scans on every fifth tick, runtimes expiring and pre-boots lapsing
+# under them: a reap and a tick fall due at the same instants
+@example(scenario={
+    "servers": 2,
+    "config": PredictiveConfig(tick_s=1.0, alpha=0.5, max_pool=2, hold_s=40.0,
+                               drain_ticks=1),
+    "idle_timeout_s": 20.0,
+    "check_s": 5.0,
+    "arrivals": [(0.0, "chess", 0), (5.0, "ocr", 1), (10.0, "chess", 2),
+                 (10.0, "virusscan", 3), (60.0, "ocr", 4), (125.0, "chess", 5)],
+})
+# the hold window lapses at 40 s, between two ticks 5 s apart: the
+# scan at 41 s already re-aims without the hold and reaps
+@example(scenario={
+    "servers": 1,
+    "config": PredictiveConfig(tick_s=5.0, alpha=0.5, max_pool=1, hold_s=40.0,
+                               drain_ticks=1),
+    "idle_timeout_s": 2.0,
+    "check_s": 1.0,
+    "arrivals": [(0.0, "chess", 0)],
+})
+# one retention slot under a capacity of 1: chess's runtime going idle
+# takes the slot back from ocr's expired one, which the next scan reaps
+@example(scenario={
+    "servers": 1,
+    "config": PredictiveConfig(tick_s=0.5, alpha=0.2, max_pool=1, hold_s=40.0,
+                               drain_ticks=1, pool_capacity=1),
+    "idle_timeout_s": 2.0,
+    "check_s": 1.0,
+    "arrivals": [(0.0, "chess", 0), (24.2, "ocr", 0), (32.8, "chess", 0)],
+})
 def test_fast_paths_match_full_reconciliation(scenario):
-    fast = _replay(scenario, fast=True)
-    full = _replay(scenario, fast=False)
-    assert fast[0] == full[0]  # per-tick rates, targets, counters; reaped cids
-    assert fast[1:] == full[1:]
+    _assert_same_run(_replay(scenario, fast=True), _replay(scenario, fast=False))
 
 
 def test_quiet_ticks_and_reused_scans_happen():
     """The fast paths are taken: a long quiet tail neither reconciles
-    nor rescans, and the result still matches the full path."""
+    nor wakes the predictor often, and the result still matches the
+    full path."""
     scenario = {
         "servers": 1,
         "config": PredictiveConfig(tick_s=1.0, hold_s=400.0),
@@ -291,7 +355,8 @@ def test_quiet_ticks_and_reused_scans_happen():
 
     with mock.patch.object(WarmPoolPredictor, "_reconcile", counted):
         fast = _replay(scenario, fast=True)
-    ticks = sum(1 for entry in fast[0] if entry[0] == "tick")
-    assert ticks == 900
-    assert len(full_passes) < ticks // 10
-    assert fast == _replay(scenario, fast=False)
+    assert fast[1][1] == [900]  # ticks, the slept-through ones included
+    wakes = sum(1 for entry in fast[0] if entry[0] == "tick")
+    assert wakes <= 90
+    assert len(full_passes) < wakes
+    _assert_same_run(fast, _replay(scenario, fast=False))

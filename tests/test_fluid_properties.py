@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import FluidChannel
+from repro.obs import DEFAULT_COUNT_BUCKETS, Observability
 from repro.sim import Environment, Interrupt
 
 BPS = 1_000_000.0
@@ -151,7 +152,9 @@ def test_equal_flows_share_fairly():
 # The reference below is the model without either: a transfer sleeps
 # through its latency (``yield env.timeout(L)``), then joins a channel
 # that re-apportions on every change.  Random schedules of both must
-# complete every flow at the bit-same instant.
+# complete every flow at the bit-same instant, and, with a metrics
+# registry attached, observe the same joins (the fold observes a
+# folded flow's join only when the fold resolves).
 
 
 class _ReferenceFlow:
@@ -207,10 +210,15 @@ class _ReferenceChannel:
         flow = _ReferenceFlow(float(nbytes), float(bps), self.env.event())
         if nbytes <= 0.0:
             flow.done.succeed()
-            return flow
-        self.flows.append(flow)
-        self.peak_flows = max(self.peak_flows, len(self.flows))
-        self._arm()
+        else:
+            self.flows.append(flow)
+            self.peak_flows = max(self.peak_flows, len(self.flows))
+            self._arm()
+        metrics = self.env.obs.metrics
+        metrics.gauge("link.active_flows").set(len(self.flows))
+        metrics.histogram(
+            "link.concurrent_flows", bounds=DEFAULT_COUNT_BUCKETS
+        ).observe(len(self.flows))
         return flow
 
     def cancel(self, flow):
@@ -248,12 +256,15 @@ _SCHEDULES = st.lists(
 def _run_schedule(schedule, folded, done_at=None):
     """Drive ``schedule`` through one model.
 
-    Returns ``(ends, peak_flows, active_flows)``: ``ends[i]`` is the
-    instant flow ``i``'s transfer ended, drained or cancelled.
+    Returns ``(ends, peak_flows, active_flows, joins)``: ``ends[i]`` is
+    the instant flow ``i``'s transfer ended, drained or cancelled, and
+    ``joins`` the run's ``link.concurrent_flows`` histogram and
+    ``link.active_flows`` gauge (a metrics registry is attached).
     ``done_at`` gives each flow's completion instant for ``("done",)``
     cancels (taken from an uncancelled run).
     """
     env = Environment()
+    obs = Observability(env, tracing=False, metrics=True)
     channel = FluidChannel(env) if folded else _ReferenceChannel(env)
     ends = [None] * len(schedule)
 
@@ -300,14 +311,19 @@ def _run_schedule(schedule, folded, done_at=None):
         env.process(transfer(env, i, *spec))
     env.run()
     active = channel.active_flows if folded else len(channel.flows)
-    return ends, channel.peak_flows, active
+    snapshot = obs.metrics.snapshot()
+    joins = (
+        snapshot["histograms"].get("link.concurrent_flows"),
+        snapshot["gauges"].get("link.active_flows"),
+    )
+    return ends, channel.peak_flows, active, joins
 
 
 @settings(max_examples=300, deadline=None)
 @given(_SCHEDULES)
 def test_folded_channel_matches_reference_bit_for_bit(schedule):
     uncancelled = [spec[:3] + (None,) for spec in schedule]
-    done_at, _, _ = _run_schedule(uncancelled, folded=False)
+    done_at = _run_schedule(uncancelled, folded=False)[0]
     reference = _run_schedule(schedule, folded=False, done_at=done_at)
     folded = _run_schedule(schedule, folded=True, done_at=done_at)
     assert folded == reference

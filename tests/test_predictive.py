@@ -481,3 +481,36 @@ def test_predictive_experiment_ab_in_both_scenarios():
     for scenario in predictive.SCENARIOS:
         assert f"\n{scenario} (" in text
     assert text.count("warm-capable cold-boot stalls") == 2
+
+
+def test_cluster_nodes_export_their_own_pool_gauges():
+    """A 3-node replay with metrics: each node's predictor writes its
+    own ``sched.*`` gauges, and the target gauge ends at that node's
+    ``target_pool`` (1, 2 and 4 devices' requests per second)."""
+    env = Environment()
+    obs = Observability(env, tracing=False, metrics=True)
+    cluster = _cluster(env, servers=3)
+    cluster.enable_predictive(PredictiveConfig(max_pool=8, hold_s=1000.0))
+    cluster.start_predictors()
+    link = make_link("lan-wifi")
+    load = {0: 1, 1: 2, 2: 4}
+    devices = {idx: _devices_on(cluster, idx, n) for idx, n in load.items()}
+
+    def feeder(env):
+        rid = 0
+        for second in range(20):
+            for idx in load:
+                for device in devices[idx]:
+                    cluster.submit(_request(rid, device=device, at=env.now), link)
+                    rid += 1
+            yield env.timeout(1.0)
+
+    env.process(feeder(env))
+    env.run(until=20.5)
+    gauges = obs.metrics.snapshot()["gauges"]
+    targets = [node.predictor.target_pool("chess") for node in cluster.nodes]
+    assert len(set(targets)) == 3  # the nodes' loads are told apart
+    for i, node in enumerate(cluster.nodes):
+        assert gauges[f"sched.target_pool.node{i}.chess"]["value"] == targets[i]
+        rate = node.predictor.rates.rate("chess")
+        assert gauges[f"sched.arrival_rate.node{i}.chess"]["max"] >= rate > 0

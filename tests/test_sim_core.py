@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel (events, core, process)."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -575,3 +577,73 @@ def test_hand_over_of_a_processed_event_is_an_error():
     env.run()
     with pytest.raises(SimulationError):
         ev.hand_over(env.event())
+
+
+# ------------------------------------------------------------------ ticker
+def _ticker_run(sleeping):
+    """Neighbours on grids of 1 s (started before), 0.5 s and 2 s
+    (started after) share the instants of a 1 s loop that acts on
+    instants 2, 3 and 7 only; returns the order everything happened in
+    and the kernel's event count."""
+    env = Environment()
+    log = []
+    wanted = {2, 3, 7}
+
+    def neighbour(env, name, period):
+        while True:
+            yield env.timeout(period)
+            log.append((env.now, name))
+
+    def act(index):
+        log.append((env.now, "loop", index))
+
+    env.process(neighbour(env, "early", 1.0))
+    if sleeping:
+        def fn():
+            act(ticker.passed)
+            ticker.sleep(min((i for i in wanted if i > ticker.passed), default=math.inf))
+
+        ticker = env.ticker(1.0, fn)
+        ticker.sleep(min(wanted))
+    else:
+        def loop(env):
+            index = 0
+            while True:
+                yield env.timeout(1.0)
+                index += 1
+                if index in wanted:
+                    act(index)
+
+        env.process(loop(env))
+    env.process(neighbour(env, "half", 0.5))
+    env.process(neighbour(env, "late", 2.0))
+    env.run(until=9.0)
+    return log, env.event_count
+
+
+def test_ticker_acts_where_the_every_instant_loop_would():
+    """A woken instant runs in the tie-break slot of the loop's timeout;
+    a slept-through one costs no event."""
+    log, events = _ticker_run(sleeping=True)
+    reference, reference_events = _ticker_run(sleeping=False)
+    assert log == reference
+    assert [e[2] for e in log if e[1] == "loop"] == [2, 3, 7]
+    # the loop scheduled ten timeouts (instant 10's at 9 s); the
+    # ticker counts its three woken instants
+    assert events == reference_events - 10 + 3
+    assert log.index((2.0, "loop", 2)) == log.index((2.0, "early")) + 1
+
+
+def test_ticker_wakes_at_a_time_and_keeps_the_heap_busy():
+    env = Environment()
+    fired = []
+    ticker = env.ticker(0.5, lambda: fired.append(env.now))
+    ticker.sleep(at=1.2)  # the first instant at or after 1.2 s
+    env.run(until=3.0)
+    assert fired == [1.5] and ticker.passed == 6
+    assert env.peek() == 3.5  # the next instant, slept through or not
+    ticker.wake()
+    env.run(until=3.5)
+    assert fired == [1.5, 3.5]
+    with pytest.raises(ValueError):
+        env.ticker(0.0, lambda: None)
